@@ -51,7 +51,12 @@ from repro.options import (
     options_from_args,
     session_options,
 )
-from repro.runtime import DEFAULT_COST_MODEL, RuntimeFault, run_native
+from repro.runtime import (
+    DEFAULT_COST_MODEL,
+    RuntimeFault,
+    StepLimitExceeded,
+    run_native,
+)
 from repro.tinyc import LoweringError, TinyCSyntaxError, compile_source
 
 
@@ -173,6 +178,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     except RuntimeFault as fault:
         print(f"runtime fault: {fault}", file=sys.stderr)
         return 2
+    except StepLimitExceeded as exc:
+        print(f"step limit exceeded: {exc}", file=sys.stderr)
+        return 2
     slowdown = DEFAULT_COST_MODEL.slowdown_percent(report)
     print(
         f"{args.file}: {report.native_ops} ops executed, "
@@ -240,6 +248,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = interp.run()
     except RuntimeFault as fault:
         print(f"runtime fault: {fault}", file=sys.stderr)
+        return 2
+    except StepLimitExceeded as exc:
+        print(f"step limit exceeded: {exc}", file=sys.stderr)
         return 2
     for line in interp.trace_log:
         print(f"trace: {line}")

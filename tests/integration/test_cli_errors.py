@@ -7,6 +7,7 @@ on stderr, never a traceback.
 
 import pytest
 
+from repro.api import analyze
 from repro.cli import main
 
 CLEAN = """
@@ -153,3 +154,39 @@ class TestServeArgValidation:
         line = one_clean_error_line(capsys)
         assert line.startswith("error:")
         assert "REPRO_TIER" in line
+
+
+SPIN = """
+def main() {
+  var i = 0;
+  while (1) { i = i + 1; }
+  return 0;
+}
+"""
+
+
+class TestStepLimit:
+    """A program that never stops ends in one line and exit 2."""
+
+    @pytest.fixture
+    def spin_file(self, tmp_path):
+        path = tmp_path / "spin.tc"
+        path.write_text(SPIN)
+        return str(path)
+
+    def test_run_reports_step_limit(self, spin_file, capsys):
+        assert main(["run", spin_file]) == 2
+        assert one_clean_error_line(capsys).startswith("step limit exceeded: ")
+
+    def test_check_reports_step_limit(self, spin_file, capsys, monkeypatch):
+        import repro.cli
+
+        def analyze_with_small_budget(*args, **kwargs):
+            # Keeps the test fast: the default budget is 50M steps.
+            analysis = analyze(*args, **kwargs)
+            analysis.max_steps = 20_000
+            return analysis
+
+        monkeypatch.setattr(repro.cli, "analyze", analyze_with_small_budget)
+        assert main(["check", spin_file]) == 2
+        assert one_clean_error_line(capsys).startswith("step limit exceeded: ")
