@@ -43,19 +43,9 @@ def pointer_heavy_module(seed: int, factor: int):
     return compile_source(generate_program(seed, params), f"heavy{seed}")
 
 
-def run_solver(
-    module,
-    use_reference: bool,
-    schedule=None,
-    jobs=None,
-    tier=None,
-    storage=None,
-):
+def run_solver(module, use_reference: bool):
     started = time.perf_counter()
-    result = analyze_pointers(
-        module, use_reference=use_reference, schedule=schedule, jobs=jobs,
-        tier=tier, storage=storage,
-    )
+    result = analyze_pointers(module, use_reference=use_reference)
     elapsed = time.perf_counter() - started
     return elapsed, result.solver_stats
 
@@ -143,265 +133,3 @@ class TestSolverScalability:
         assert ref_stats.facts_propagated >= 2 * delta_stats.facts_propagated
         assert ref_solve >= 2 * delta_solve
         assert delta_stats.sccs_collapsed > 0
-
-
-class TestWaveScheduling:
-    """Wave (deep) propagation vs the FIFO worklist, same delta solver.
-
-    Both schedules reach the identical fixpoint (the differential suite
-    proves it); the point of the wave order is to pop each dirty cell
-    once per wave after its predecessors, so hub-heavy programs churn
-    the worklist far less.  The fifo rows go to the log under their own
-    benchmark name so the cross-run gate never pairs a fifo entry
-    against a wave one.
-    """
-
-    def test_wave_reduces_worklist_churn(self):
-        module = pointer_heavy_module(5, 6)
-        wave_elapsed, wave_stats = min(
-            (run_solver(module, use_reference=False, schedule="wave")
-             for _ in range(3)),
-            key=lambda pair: pair[0],
-        )
-        fifo_elapsed, fifo_stats = min(
-            (run_solver(module, use_reference=False, schedule="fifo")
-             for _ in range(3)),
-            key=lambda pair: pair[0],
-        )
-        record_solver_stats(
-            5, 6, wave_elapsed, wave_stats, benchmark="solver_schedule_wave"
-        )
-        record_solver_stats(
-            5, 6, fifo_elapsed, fifo_stats, benchmark="solver_schedule_fifo"
-        )
-        assert wave_stats.waves > 0
-        assert wave_stats.peak_wave_width > 1
-        assert wave_stats.pops < fifo_stats.pops
-        assert wave_stats.facts_propagated <= fifo_stats.facts_propagated
-
-
-class TestTieredSolving:
-    """The three solving tiers on the same pointer-heavy instance.
-
-    The module runs through the standard ``O0+IM`` pipeline first —
-    exactly what ``prepare_module`` always sees in production.  That
-    matters: at O0 the frontend routes every assignment through a stack
-    slot, so the *static* copy graph is load/store pairs and nearly
-    edge-free; mem2reg is what turns assignment chains into the
-    Copy/Phi edges the Steensgaard pre-collapse exists to fold.
-
-    Each tier's row lands in the log under its own ``solver_tier_<t>``
-    benchmark name, so the cross-run gate compares like against like
-    (and additionally watches ``unified_nodes`` for a pre-collapse
-    collapse — see ``tools/diff_solver_stats.py``).
-    """
-
-    def _optimized_heavy(self, seed, factor):
-        module = pointer_heavy_module(seed, factor)
-        run_pipeline(module, "O0+IM")
-        return module
-
-    def test_unified_tier_cuts_pops_and_edges(self):
-        """The acceptance gate: at factor 6 the pre-collapse must cut
-        worklist pops and the surviving copy-edge count at least 2x
-        against the plain wave-scheduled fixpoint, on identical
-        results (asserted by the differential suites; re-checked
-        loosely here via the deterministic counters)."""
-        module = self._optimized_heavy(5, 6)
-        full_elapsed, full_stats = min(
-            (run_solver(module, use_reference=False, tier="full")
-             for _ in range(3)),
-            key=lambda pair: pair[0],
-        )
-        unified_elapsed, unified_stats = min(
-            (run_solver(module, use_reference=False, tier="unified")
-             for _ in range(3)),
-            key=lambda pair: pair[0],
-        )
-        record_solver_stats(
-            5, 6, full_elapsed, full_stats, benchmark="solver_tier_full"
-        )
-        record_solver_stats(
-            5, 6, unified_elapsed, unified_stats,
-            benchmark="solver_tier_unified",
-        )
-        assert unified_stats.unified_nodes > 0
-        assert full_stats.pops >= 2 * unified_stats.pops
-        assert full_stats.live_copy_edges >= 2 * unified_stats.live_copy_edges
-        # The pre-collapse pays for itself: smaller solve phase, and
-        # (min-of-3, generous slack against timer noise) no slower
-        # end to end.
-        assert (
-            unified_stats.phase_seconds["solve"]
-            < full_stats.phase_seconds["solve"]
-        )
-        assert unified_elapsed <= full_elapsed * 1.25
-
-    def test_lazy_tier_defers_then_matches(self):
-        """Lazy's value is *deferral*: construction does no solving at
-        all, and a full force visits every node.  Its row is recorded
-        for the trajectory log; its win shows up in the query-first
-        workflows (see ``benchmarks/test_demand_queries.py``), not in
-        force-everything wall-clock."""
-        module = self._optimized_heavy(5, 6)
-        lazy_elapsed, lazy_stats = min(
-            (run_solver(module, use_reference=False, tier="lazy")
-             for _ in range(3)),
-            key=lambda pair: pair[0],
-        )
-        record_solver_stats(
-            5, 6, lazy_elapsed, lazy_stats, benchmark="solver_tier_lazy"
-        )
-        assert lazy_stats.tier == "lazy"
-        assert lazy_stats.lazy_forced_nodes > 0
-
-    def test_tiers_agree_bit_for_bit(self):
-        module = self._optimized_heavy(5, 6)
-        results = {
-            tier: analyze_pointers(module, tier=tier)
-            for tier in ("full", "unified", "lazy")
-        }
-        full = results["full"]
-        for tier in ("unified", "lazy"):
-            assert results[tier].pts == full.pts
-            assert results[tier].call_targets == full.call_targets
-            assert results[tier].wrappers == full.wrappers
-
-
-class TestCompressedStorage:
-    """Dense int bitsets vs roaring containers at 100x scale.
-
-    The dense representation's cost is the *span* of each points-to
-    set: one Python-int limb vector stretching to the highest interned
-    location id, so a late sparse member costs as much as a dense
-    prefix.  The compressed containers
-    (:mod:`repro.analysis.bitsets`) pay per member (array), per run
-    (run-length), or a flat 8 KiB ceiling (bitmap), so representation
-    bytes track set *content*, not id range.  These rows record
-    ``bytes_pts`` for both storages at growing scale factors and gate
-    the growth shape: the compressed bytes must grow by a smaller
-    factor than the dense bytes, and win outright on the largest
-    generated instance.  Each (storage, factor) row lands in the log
-    keyed by its ``storage`` field, so the cross-run gate
-    (``tools/diff_solver_stats.py``) compares like against like and
-    fails on a >2x ``bytes_pts`` / ``peak_rss`` jump.
-    """
-
-    GENERATED_FACTORS = (16, 64)
-    HEAVY_FACTORS = (8, 32)
-
-    @staticmethod
-    def _generated(seed, factor):
-        params = GeneratorParams().scaled(factor)
-        module = compile_source(
-            generate_program(seed, params), f"gen{seed}x{factor}"
-        )
-        run_pipeline(module, "O0+IM")
-        return module
-
-    @staticmethod
-    def _heavy(seed, factor):
-        module = pointer_heavy_module(seed, factor)
-        run_pipeline(module, "O0+IM")
-        return module
-
-    def _bytes_by_storage(self, module_for, seed, factors, benchmark):
-        rows = {}
-        for factor in factors:
-            module = module_for(seed, factor)
-            for storage in ("int", "compressed"):
-                elapsed, stats = run_solver(
-                    module, use_reference=False, storage=storage
-                )
-                record_solver_stats(
-                    seed, factor, elapsed, stats, benchmark=benchmark
-                )
-                assert stats.bytes_pts > 0 and stats.peak_rss > 0
-                rows[(storage, factor)] = stats.bytes_pts
-        return rows
-
-    def test_generated_factor64_compressed_wins(self):
-        """The acceptance gate: the full generated workload at factor
-        64 completes under both storages, the compressed bytes grow by
-        a smaller factor across the 4x scale step, and at factor 64
-        the compressed representation is smaller in absolute terms
-        (the dense limb vectors' span cost has crossed over)."""
-        low, high = self.GENERATED_FACTORS
-        rows = self._bytes_by_storage(
-            self._generated, 11, self.GENERATED_FACTORS, "solver_storage_generated"
-        )
-        int_growth = rows[("int", high)] / rows[("int", low)]
-        compressed_growth = (
-            rows[("compressed", high)] / rows[("compressed", low)]
-        )
-        assert compressed_growth < int_growth
-        assert rows[("compressed", high)] < rows[("int", high)]
-
-    def test_pointer_heavy_factor32_grows_slower(self):
-        """Pointer-heavy instances keep their sets small and dense, so
-        the container headers cost more than the dense limbs in
-        absolute terms — but the *growth* must still favor the
-        compressed form as ids spread out with scale."""
-        low, high = self.HEAVY_FACTORS
-        rows = self._bytes_by_storage(
-            self._heavy, 11, self.HEAVY_FACTORS, "solver_storage_heavy"
-        )
-        int_growth = rows[("int", high)] / rows[("int", low)]
-        compressed_growth = (
-            rows[("compressed", high)] / rows[("compressed", low)]
-        )
-        assert compressed_growth < int_growth
-
-    def test_storages_agree_at_scale(self):
-        module = self._generated(11, self.GENERATED_FACTORS[0])
-        base = analyze_pointers(module, storage="int")
-        compressed = analyze_pointers(module, storage="compressed")
-        assert base.pts == compressed.pts
-        assert base.call_targets == compressed.call_targets
-        assert (
-            base.solver_stats.facts_propagated
-            == compressed.solver_stats.facts_propagated
-        )
-
-
-class TestParallelConstraintGeneration:
-    """Serial vs process-sharded constraint generation wall-clock.
-
-    The sharded path replays the identical constraint stream (pops and
-    propagated facts are bit-equal to serial — which doubles as an
-    identity gate when the cross-run diff compares the two rows), so the
-    only quantity of interest is the ``constraints`` phase wall time,
-    recorded for both rows.
-    """
-
-    def test_sharded_generation_wall_clock(self):
-        from repro.analysis.parallel import fork_available
-
-        module = pointer_heavy_module(11, 8)
-        serial_elapsed, serial_stats = run_solver(module, use_reference=False)
-        record_solver_stats(
-            11, 8, serial_elapsed, serial_stats,
-            benchmark="parallel_constraint_gen",
-            jobs=1,
-            gen_seconds=round(
-                serial_stats.phase_seconds.get("constraints", 0.0), 6
-            ),
-        )
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        parallel_elapsed, parallel_stats = run_solver(
-            module, use_reference=False, jobs=4
-        )
-        record_solver_stats(
-            11, 8, parallel_elapsed, parallel_stats,
-            benchmark="parallel_constraint_gen",
-            jobs=4,
-            gen_seconds=round(
-                parallel_stats.phase_seconds.get("constraints", 0.0), 6
-            ),
-        )
-        assert parallel_stats.gen_shards > 1
-        # Identity, not just similarity: the sharded merge replays the
-        # serial stream, so the deterministic counters are bit-equal.
-        assert parallel_stats.pops == serial_stats.pops
-        assert parallel_stats.facts_propagated == serial_stats.facts_propagated

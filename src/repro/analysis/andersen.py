@@ -18,33 +18,22 @@ VFG) see the union while still distinguishing per-call-site objects.
 
 Two constraint solvers share the constraint generator:
 
-- :class:`DeltaSolver` (the default) is the scalable engine: points-to
-  sets are interned integer bitsets, each worklist pop propagates only
-  the node's *delta* (facts added since it was last processed), and
-  copy-edge cycles are collapsed online onto a union-find
-  representative via lazy cycle detection.  Its default worklist
-  discipline is *wave scheduling* (``schedule="wave"``): instead of
-  popping nodes one at a time, each wave topologically orders the
-  copy-edge DAG reachable from the dirty frontier and pops in that
-  order, so a delta crosses the whole DAG in one sweep and every node
-  is offered its merged delta once per wave.  ``schedule="fifo"``
-  restores the plain pop loop (the PR-1 behavior, kept for
-  differential testing and benchmarking).
+- :class:`DeltaSolver` is the scalable engine: points-to sets are
+  interned integer bitsets, each worklist pop propagates only the
+  node's *delta* (facts added since it was last processed), and the
+  worklist drains in *waves*: each wave pops the dirty frontier in a
+  Pearce–Kelly topological order of the copy-edge graph, which also
+  collapses copy cycles onto a union-find representative the moment an
+  edge closes one.  A delta crosses the whole DAG in one sweep and
+  every node is offered its merged delta once per wave.
 - :class:`ReferenceSolver` (``use_reference=True``) is the original
   naive worklist that re-propagates full points-to sets; it is kept as
   the differential-testing oracle.
 
-With ``jobs > 1`` (or ``REPRO_JOBS`` set), per-function constraint
-generation is sharded across a fork-start process pool
-(:mod:`repro.analysis.shardgen`): each worker interns its own symbols
-and returns a compact op tape, and the parent replays the tapes in
-module order through a per-shard table remap — the solver state after
-the merge is exactly the serial generator's, so results cannot differ.
-
-Every schedule/jobs combination produces bit-for-bit identical
-:class:`PointerResult` contents (SCC representatives are expanded back
-to their members before results are built) and all report their work
-through :class:`~repro.analysis.solverstats.SolverStats`.
+Both produce bit-for-bit identical :class:`PointerResult` contents
+(SCC representatives are expanded back to their members before results
+are built) and report their work through
+:class:`~repro.analysis.solverstats.SolverStats`.
 """
 
 from __future__ import annotations
@@ -74,24 +63,15 @@ from repro.analysis.memobjects import (
     function_object,
     global_object,
 )
-from repro.analysis.bitsets import (
-    Bitset,
-    bitset_count,
-    bitset_packed_size,
-    pack_lids,
-    resolve_storage,
-)
-from repro.analysis.parallel import resolve_jobs
 from repro.analysis.solverstats import SolverStats
-from repro.analysis.tiers import resolve_tier
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACE
 
 Node = Union[PVar, MemLoc]
 
-#: Op-tape tags of the sharded constraint generator (see
-#: :mod:`repro.analysis.shardgen`); kept here so both the shard
-#: collector and the replaying solvers agree on the encoding.
+#: Op-tape tags of the per-function constraint collector (see
+#: :mod:`repro.analysis.shardgen`); kept here so both the collector
+#: and the replaying solver agree on the encoding.
 OP_PTS = 0
 OP_COPY = 1
 OP_LOAD = 2
@@ -166,10 +146,6 @@ def analyze_pointers(
     module: Module,
     heap_cloning: bool = True,
     use_reference: bool = False,
-    schedule: Optional[str] = None,
-    jobs: Optional[int] = None,
-    tier: Optional[str] = None,
-    storage: Optional[str] = None,
 ) -> PointerResult:
     """Run Andersen's analysis on ``module``.
 
@@ -181,113 +157,25 @@ def analyze_pointers(
     (:class:`ReferenceSolver`) instead of the scalable
     :class:`DeltaSolver`; the results are identical — the flag exists
     for differential testing and benchmarking.
-
-    ``schedule`` picks the :class:`DeltaSolver` worklist discipline:
-    ``"wave"`` (the default) or ``"fifo"`` (the PR-1 pop loop); the
-    reference solver ignores it.  ``jobs`` shards constraint generation
-    across that many worker processes (``None`` defers to the session
-    default / ``REPRO_JOBS``; defaulted counts fall back to serial below
-    :data:`~repro.analysis.parallel.PARALLEL_MIN_OPS` instructions —
-    logged in ``SolverStats.gen_serial_fallbacks``; 1 is strictly
-    serial).  ``tier`` picks the solving tier (``None`` defers to the
-    session default / ``REPRO_TIER``): ``"full"`` solves eagerly,
-    ``"unified"`` runs the :mod:`repro.analysis.unify` Steensgaard-style
-    pre-collapse before each solve pass, ``"lazy"`` defers the fixpoint
-    so callers force only the slices they query.  ``storage`` picks the
-    :class:`DeltaSolver` points-to representation (``None`` defers to
-    the session default / ``REPRO_STORAGE``): ``"int"`` keeps dense int
-    bitsets, ``"compressed"`` stores each set as roaring-style chunked
-    containers (:mod:`repro.analysis.bitsets`), ``"auto"`` switches to
-    compressed above
-    :data:`~repro.analysis.bitsets.COMPRESSED_MIN_OPS` instructions.
-    None of these knobs can change the result — all are pure
-    wall-clock/memory choices (the reference solver ignores ``tier``
-    and ``storage``).
     """
-    tier = resolve_tier(tier)
-    if schedule is None:
-        schedule = "wave"
-    if schedule not in ("wave", "fifo"):
-        raise ValueError(f"unknown solver schedule: {schedule!r}")
-    module_ops = sum(
-        1
-        for function in module.functions.values()
-        for _ in function.instructions()
-    )
-    storage = resolve_storage(storage, ops=module_ops)
-    effective_jobs = resolve_jobs(jobs, ops=module_ops)
-    serial_fallback = (
-        jobs is None and effective_jobs == 1 and resolve_jobs(jobs) > 1
-    )
-
-    if use_reference:
-        stats = SolverStats(
-            solver=ReferenceSolver.kind, schedule="fifo", tier="full"
-        )
-
-        def make(wrappers: FrozenSet[str]) -> "_SolverBase":
-            if serial_fallback:
-                stats.gen_serial_fallbacks += 1
-            return ReferenceSolver(
-                module, wrappers=wrappers, stats=stats, jobs=effective_jobs
-            )
-
-    else:
-        stats = SolverStats(
-            solver=DeltaSolver.kind,
-            schedule=schedule,
-            tier=tier,
-            storage=storage,
-        )
-        lazy = tier == "lazy"
-
-        def make(wrappers: FrozenSet[str]) -> "_SolverBase":
-            if serial_fallback:
-                stats.gen_serial_fallbacks += 1
-            solver = DeltaSolver(
-                module,
-                wrappers=wrappers,
-                stats=stats,
-                jobs=effective_jobs,
-                schedule=schedule,
-                lazy=lazy,
-                storage=storage,
-            )
-            if tier == "unified":
-                from repro.analysis.unify import presolve_unify
-
-                presolve_unify(solver)
-            return solver
+    solver_class = ReferenceSolver if use_reference else DeltaSolver
+    stats = SolverStats(solver=solver_class.kind)
 
     def finish(solver: "_SolverBase") -> PointerResult:
-        # Lazy tier: settle any deferred work outside the finalize
-        # phase so solve time is attributed to "solve", not "finalize".
-        if isinstance(solver, DeltaSolver):
-            solver.force_all()
         result = solver.result()
-        REGISTRY.record_solver(
-            stats, schedule=stats.schedule, jobs=effective_jobs
-        )
+        REGISTRY.record_solver(stats)
         return result
 
-    with TRACE.span(
-        "pointer_analysis",
-        tier=stats.tier,
-        storage=stats.storage,
-        schedule=stats.schedule,
-        jobs=effective_jobs,
-    ):
-        base = make(frozenset())
+    with TRACE.span("pointer_analysis"):
+        base = solver_class(module, wrappers=frozenset(), stats=stats)
         base.solve()
         if not heap_cloning:
             return finish(base)
-        if isinstance(base, DeltaSolver):
-            base.force_wrapper_candidates()
         with stats.phase("wrappers"):
             wrappers = base.detect_wrappers()
         if not wrappers:
             return finish(base)
-        refined = make(frozenset(wrappers))
+        refined = solver_class(module, wrappers=frozenset(wrappers), stats=stats)
         refined.solve()
         result = finish(refined)
         result.wrappers = set(wrappers)
@@ -310,13 +198,11 @@ class _SolverBase:
         module: Module,
         wrappers: FrozenSet[str],
         stats: Optional[SolverStats] = None,
-        jobs: int = 1,
         recursive: Optional[Set[str]] = None,
     ) -> None:
         self.module = module
         self.wrappers = wrappers
         self.stats = stats if stats is not None else SolverStats(solver=self.kind)
-        self.jobs = max(1, jobs)
 
         self.global_objects: Dict[str, MemObject] = {}
         self.function_objects: Dict[str, MemObject] = {}
@@ -386,91 +272,8 @@ class _SolverBase:
             )
         for name in self.module.functions:
             self.function_objects[name] = function_object(name)
-        if self.jobs > 1 and len(self.module.functions) > 1:
-            from repro.analysis import shardgen
-
-            shards = shardgen.generate_shards(
-                self.module, self.wrappers, self._recursive, self.jobs
-            )
-            if shards is not None:
-                self._merge_shards(shards)
-                return
         for function in self.module.functions.values():
             self._gen_function(function, ns=function.name, clone_ctx=None)
-
-    def _merge_shards(self, shards) -> None:
-        """Deterministically fold sharded constraint generation into
-        this solver's store.
-
-        Shards cover contiguous runs of functions in module order and
-        each shard's op tape is in generation order, so replaying them
-        in sequence reproduces exactly the constraint stream the serial
-        ``_seed`` loop would have produced — including the order
-        ``alloc_objects`` lists accumulate, which downstream consumers
-        rely on.
-        """
-        for shard in shards:
-            self.stats.gen_shards += 1
-            if TRACE.enabled and getattr(shard, "spans", None):
-                TRACE.adopt(shard.spans)
-            self._replay_shard(shard)
-            for uid, targets in shard.call_targets.items():
-                self.call_targets.setdefault(uid, set()).update(targets)
-            self.clone_base.update(shard.clone_base)
-            self._instantiated.update(shard.instantiated)
-            for uid, objs in shard.alloc_objects.items():
-                known = self.alloc_objects.setdefault(uid, [])
-                for obj in objs:
-                    if obj not in known:
-                        known.append(obj)
-
-    def _replay_shard(self, shard) -> None:
-        """Replay a shard's flat word arena through the object-level
-        hooks — index arithmetic over the ``int64`` buffer, no op
-        tuples materialized.
-
-        :class:`DeltaSolver` overrides this with an id-level replay
-        that crosses the interning boundary once per distinct symbol
-        instead of once per op.
-        """
-        from repro.analysis.shardgen import GEP_NONE
-
-        syms = shard.syms
-        words = shard.words
-        i = 0
-        n = len(words)
-        while i < n:
-            tag = words[i]
-            if tag == OP_COPY:
-                self._add_copy(syms[words[i + 1]], syms[words[i + 2]])
-                i += 3
-            elif tag == OP_PTS:
-                self._add_pts(syms[words[i + 1]], syms[words[i + 2]])
-                i += 3
-            elif tag == OP_LOAD:
-                self._add_load(syms[words[i + 1]], syms[words[i + 2]])
-                i += 3
-            elif tag == OP_STORE:
-                self._add_store(syms[words[i + 1]], syms[words[i + 2]])
-                i += 3
-            elif tag == OP_GEP:
-                offset = words[i + 3]
-                self._add_gep(
-                    syms[words[i + 1]],
-                    syms[words[i + 2]],
-                    None if offset == GEP_NONE else offset,
-                )
-                i += 4
-            else:  # OP_ICALL
-                nargs = words[i + 3]
-                args = [
-                    syms[a] if a >= 0 else None
-                    for a in words[i + 4 : i + 4 + nargs]
-                ]
-                dst_sid = words[i + 4 + nargs]
-                dst = syms[dst_sid] if dst_sid >= 0 else None
-                self._add_icall(syms[words[i + 1]], words[i + 2], args, dst)
-                i += 5 + nargs
 
     def _ret_node(self, ns: str) -> PVar:
         return PVar(ns, "<ret>")
@@ -726,7 +529,6 @@ class ReferenceSolver(_SolverBase):
         module: Module,
         wrappers: FrozenSet[str],
         stats: Optional[SolverStats] = None,
-        jobs: int = 1,
         recursive: Optional[Set[str]] = None,
     ) -> None:
         self.pts: Dict[Node, Set[MemLoc]] = {}
@@ -739,7 +541,7 @@ class ReferenceSolver(_SolverBase):
         ] = {}
         self.worklist: List[Node] = []
         self.dirty: Set[Node] = set()
-        super().__init__(module, wrappers, stats, jobs=jobs, recursive=recursive)
+        super().__init__(module, wrappers, stats, recursive=recursive)
 
     # -- constraint store ----------------------------------------------
     def _points(self, node: Node) -> Set[MemLoc]:
@@ -866,16 +668,8 @@ class DeltaSolver(_SolverBase):
 
     Representation
         Every :class:`MemLoc` is interned to an integer bit index, so a
-        points-to set is a bitset over those ids and set algebra
-        (union, difference, subset) is machine-word arithmetic.  With
-        ``storage="int"`` (the default) each set is a plain Python int;
-        ``storage="compressed"`` swaps in
-        :class:`repro.analysis.bitsets.Bitset` — roaring-style chunked
-        containers with the same operator surface, so the solver core
-        below is storage-polymorphic and both modes run the identical
-        code path (the int ``0`` is the shared empty-set sentinel, and
-        compressed iteration is ascending like int low-bit-first, so
-        every deterministic counter is bit-identical across storages).
+        points-to set is a Python-int bitset over those ids and set
+        algebra (union, difference, subset) is machine-word arithmetic.
         Every graph node (PVar or MemLoc) is likewise interned to a
         dense integer id; all solver-core state (bitsets, deltas,
         union-find parents, edge tables) lives in lists indexed by node
@@ -888,85 +682,47 @@ class DeltaSolver(_SolverBase):
         once, preserving the invariant that processed facts have crossed
         every edge that existed when they were processed.
 
-    Online cycle elimination
-        When pushing a delta along a copy edge changes nothing and both
-        endpoints' sets are equal, the edge is suspected to close a
-        cycle (lazy cycle detection, Hardekopf & Lin style; each edge
-        triggers at most once).  A Tarjan sweep over the copy graph
-        collapses every multi-node SCC onto a union-find
-        representative, redirecting the copy / load / store / gep /
-        icall edge tables through ``_find``.
-
     Wave scheduling
-        With ``schedule="wave"`` (the default) the fixpoint loop runs
-        in *waves*: each wave snapshots the dirty frontier, orders the
-        copy-edge subgraph reachable from it in reverse postorder
-        (topological once cycles are collapsed), and pops nodes in that
-        order.  A delta entering the top of a copy chain reaches the
-        bottom within the same wave, and because every downstream node
-        is popped after all its in-wave predecessors, it is offered the
-        *merged* delta exactly once — the FIFO loop would re-pop it per
-        predecessor.  ``schedule="fifo"`` keeps the plain pop loop.
-        Both reach the same least fixpoint (monotone confluence), so
-        results are bit-identical; only the work profile differs.
+        The fixpoint loop runs in *waves*: each wave snapshots the dirty
+        frontier and pops it in the Pearce–Kelly topological order of
+        the copy-edge graph.  A delta entering the top of a copy chain
+        reaches the bottom within the same wave, and because every
+        downstream node is popped after all its in-wave predecessors,
+        it is offered the *merged* delta exactly once.
+
+    Cycle elimination
+        The first solve collapses every copy-edge SCC in one Tarjan
+        sweep and numbers the condensation; from then on the order is
+        maintained per inserted copy edge, and an edge that closes a
+        cycle collapses it onto a union-find representative at once,
+        redirecting the copy / load / store / gep / icall edge tables
+        through ``_find``.
     """
 
     kind = "delta"
-
-    _LCD_BASE_THRESHOLD = 16
-    _LCD_MAX_THRESHOLD = 4096
 
     def __init__(
         self,
         module: Module,
         wrappers: FrozenSet[str],
         stats: Optional[SolverStats] = None,
-        jobs: int = 1,
         recursive: Optional[Set[str]] = None,
-        schedule: str = "wave",
-        lazy: bool = False,
-        storage: str = "int",
     ) -> None:
-        if schedule not in ("wave", "fifo"):
-            raise ValueError(f"unknown solver schedule: {schedule!r}")
-        if storage not in ("int", "compressed"):
-            raise ValueError(f"unknown solver storage: {storage!r}")
-        self.schedule = schedule
-        #: points-to representation: dense Python ints or roaring-style
-        #: compressed Bitsets (resolved — never "auto" here).
-        self.storage = storage
-        self._compressed = storage == "compressed"
-        #: wave-mode bookkeeping: the ord-keyed heap of reps scheduled
-        #: in the wave currently being processed (None outside a wave),
-        #: the set of reps it holds, and the ord of the rep being popped
-        #: right now.
+        #: wave bookkeeping: the ord-keyed heap of reps scheduled in the
+        #: wave currently being processed (None outside a wave), the set
+        #: of reps it holds, and the ord of the rep being popped right
+        #: now.
         self._wave_heap: Optional[List[Tuple[int, int]]] = None
         self._wave_members: Set[int] = set()
         self._wave_cursor_ord = -1
         #: Pearce–Kelly incremental topological order: ``_ord[rep]`` is
         #: the rep's position.  Until :meth:`_init_pk_order` runs (at the
-        #: first wave-mode solve) ords are creation indices and
-        #: ``_pk_live`` is False; afterwards the order is maintained
-        #: online per inserted copy edge and cycles are collapsed
-        #: eagerly at insertion.
+        #: first solve) ords are creation indices and ``_pk_live`` is
+        #: False; afterwards the order is maintained online per inserted
+        #: copy edge and cycles are collapsed eagerly at insertion.
         self._ord: List[int] = []
         self._next_ord = 0
         self._pk_live = False
-        self._offline_collapsed = False
-        #: lazy tier: the demand-forced constraint slice — raw node ids
-        #: whose backward closure has been pulled in, the union-find
-        #: reps the restricted fixpoint is allowed to pop, and the
-        #: one-shot conservative closures (stores once any MemLoc class
-        #: enters the slice; indirect-call callees on the first force).
-        self._lazy = lazy
-        self._complete = False
-        self._forcing = False
-        self._slice: Set[int] = set()
-        self._slice_reps: Set[int] = set()
-        self._slice_grew = False
-        self._stores_pulled = False
-        self._store_pairs: List[Tuple[int, int]] = []
-        self._icall_callee_ids: List[int] = []
         #: interning: MemLoc <-> bit index
         self._locs: List[MemLoc] = []
         self._loc_ids: Dict[MemLoc, int] = {}
@@ -981,38 +737,17 @@ class DeltaSolver(_SolverBase):
         self._delta: List[int] = []  #: unpropagated subset of _bits
         self._copy_out: List[Optional[Set[int]]] = []
         #: reverse copy adjacency (raw source ids per rep) — drives the
-        #: Pearce–Kelly backward pass, the unify pre-collapse and the
-        #: lazy backward closure
+        #: Pearce–Kelly backward pass
         self._copy_in: List[Optional[Set[int]]] = []
-        #: lazy-tier reverse indexes: raw base/ptr ids per gep/load dst
-        #: rep (populated only when ``lazy``)
-        self._rev_geps: List[Optional[Set[int]]] = []
-        self._rev_loads: List[Optional[Set[int]]] = []
-        #: whether the node's union-find class contains a MemLoc (store
-        #: targets — the oversharing guard and the lazy store closure)
-        self._has_loc: List[bool] = []
         self._loads: List[Optional[Set[int]]] = []
         self._stores: List[Optional[Set[int]]] = []
         self._geps: List[Optional[Set[Tuple[int, Optional[int]]]]] = []
         #: entries are (call uid, arg node ids with -1 for None, dst
         #: node id or -1)
         self._icalls: List[Optional[Set[Tuple[int, Tuple[int, ...], int]]]] = []
-        #: copy edges already considered by lazy cycle detection, packed
-        #: as (src_rep << 32) | dst_rep
-        self._checked_edges: Set[int] = set()
-        #: source nodes of suspicious no-op edges seen since the last
-        #: cycle sweep; a sweep is batched until enough accumulate
-        #: (exponential back-off when a sweep finds nothing to collapse
-        #: keeps the total sweep cost linear in practice) and is rooted
-        #: at the suspects only — any copy cycle through a suspect edge
-        #: is reachable from that edge's source
-        self._lcd_suspects: List[int] = []
-        self._lcd_threshold = self._LCD_BASE_THRESHOLD
         self.worklist: List[int] = []
         self.dirty: Set[int] = set()
-        super().__init__(module, wrappers, stats, jobs=jobs, recursive=recursive)
-        self.stats.schedule = schedule
-        self.stats.storage = storage
+        super().__init__(module, wrappers, stats, recursive=recursive)
 
     # -- interning -----------------------------------------------------
     def _nid(self, node: Node) -> int:
@@ -1026,9 +761,6 @@ class DeltaSolver(_SolverBase):
             self._delta.append(0)
             self._copy_out.append(None)
             self._copy_in.append(None)
-            self._rev_geps.append(None)
-            self._rev_loads.append(None)
-            self._has_loc.append(isinstance(node, MemLoc))
             self._loads.append(None)
             self._stores.append(None)
             self._geps.append(None)
@@ -1036,17 +768,6 @@ class DeltaSolver(_SolverBase):
             self._ord.append(self._next_ord)
             self._next_ord += 1
         return nid
-
-    def _single(self, lid: int):
-        """The singleton set ``{lid}`` in this solver's storage."""
-        if self._compressed:
-            return Bitset.single(lid)
-        return 1 << lid
-
-    def _pack_lids(self, lids: Iterable[int]):
-        """A set holding ``lids`` in this solver's storage (the int
-        ``0`` when empty, in both modes)."""
-        return pack_lids(lids, self._compressed)
 
     def _lid(self, loc: MemLoc) -> int:
         lid = self._loc_ids.get(loc)
@@ -1056,7 +777,7 @@ class DeltaSolver(_SolverBase):
             self._locs.append(loc)
             self._loc_nids.append(-1)
             if loc.obj.is_function:
-                self._func_mask |= self._single(lid)
+                self._func_mask |= 1 << lid
         return lid
 
     def _loc_node(self, lid: int) -> int:
@@ -1067,32 +788,26 @@ class DeltaSolver(_SolverBase):
             self._loc_nids[lid] = nid
         return nid
 
-    def _iter_lids(self, bits) -> Iterator[int]:
-        if type(bits) is int:
-            while bits:
-                low = bits & -bits
-                yield low.bit_length() - 1
-                bits ^= low
-        else:
-            yield from bits.iter_lids()
+    @staticmethod
+    def _iter_lids(bits: int) -> Iterator[int]:
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
 
-    def _iter_locs(self, bits) -> Iterator[MemLoc]:
+    def _iter_locs(self, bits: int) -> Iterator[MemLoc]:
         locs = self._locs
-        if type(bits) is int:
-            while bits:
-                low = bits & -bits
-                yield locs[low.bit_length() - 1]
-                bits ^= low
-        else:
-            for lid in bits.iter_lids():
-                yield locs[lid]
+        while bits:
+            low = bits & -bits
+            yield locs[low.bit_length() - 1]
+            bits ^= low
 
-    def _shift_bits(self, bits, offset: Optional[int]):
-        lids: List[int] = []
+    def _shift_bits(self, bits: int, offset: Optional[int]) -> int:
+        shifted = 0
         for loc in self._iter_locs(bits):
             for target in loc.shifted(offset):
-                lids.append(self._lid(target))
-        return self._pack_lids(lids)
+                shifted |= 1 << self._lid(target)
+        return shifted
 
     # -- union-find ----------------------------------------------------
     def _find(self, nid: int) -> int:
@@ -1129,7 +844,7 @@ class DeltaSolver(_SolverBase):
 
     def _pts_ids(self, nid: int, lid: int) -> None:
         rep = self._find(nid)
-        bit = self._single(lid)
+        bit = 1 << lid
         if not self._bits[rep] & bit:
             self._bits[rep] |= bit
             self._delta[rep] |= bit
@@ -1139,24 +854,23 @@ class DeltaSolver(_SolverBase):
     def _add_pts(self, node: Node, loc: MemLoc) -> None:
         self._pts_ids(self._nid(node), self._lid(loc))
 
-    def _offer(self, dst: int, bits) -> bool:
+    def _offer(self, dst: int, bits: int) -> bool:
         """Push ``bits`` into ``dst``'s set; True if anything was new."""
         if not bits:
             return False
         rep = self._find(dst)
-        self.stats.facts_propagated += bitset_count(bits)
+        self.stats.facts_propagated += _popcount(bits)
         cur = self._bits[rep]
         new = bits & ~cur
         if not new:
             return False
         self._bits[rep] = cur | new
         self._delta[rep] |= new
-        self.stats.facts_added += bitset_count(new)
+        self.stats.facts_added += _popcount(new)
         if rep in self.dirty:
-            # Already scheduled.  In wave mode, if the recipient sits
-            # later in the current wave's topological order, these bits
-            # ride along with its single in-wave pop — a FIFO loop
-            # would have queued a separate re-pop for them.
+            # Already scheduled.  If the recipient sits later in the
+            # current wave's topological order, these bits ride along
+            # with its single in-wave pop instead of queueing a re-pop.
             if (
                 self._wave_heap is not None
                 and rep in self._wave_members
@@ -1188,14 +902,6 @@ class DeltaSolver(_SolverBase):
             d = self._find(d)
             if s == d:
                 return
-        if (
-            self._forcing
-            and d in self._slice_reps
-            and s not in self._slice_reps
-        ):
-            # A dynamic edge landed inside the demand slice from
-            # outside: grow the slice so the source's facts flow.
-            self._extend_slice(s)
         # A new edge must catch up on the facts the source has already
         # propagated; the unprocessed delta crosses it at the next pop.
         bits = self._bits[s] & ~self._delta[s]
@@ -1213,12 +919,6 @@ class DeltaSolver(_SolverBase):
         elif dst_id in dsts:
             return
         dsts.add(dst_id)
-        if self._lazy:
-            drep = self._find(dst_id)
-            ptrs = self._rev_loads[drep]
-            if ptrs is None:
-                ptrs = self._rev_loads[drep] = set()
-            ptrs.add(ptr_id)
         for lid in self._iter_lids(self._processed(rep) & ~self._func_mask):
             self._copy_ids(self._loc_node(lid), dst_id)
 
@@ -1233,8 +933,6 @@ class DeltaSolver(_SolverBase):
         elif src_id in srcs:
             return
         srcs.add(src_id)
-        if self._lazy:
-            self._store_pairs.append((ptr_id, src_id))
         for lid in self._iter_lids(self._processed(rep) & ~self._func_mask):
             self._copy_ids(src_id, self._loc_node(lid))
 
@@ -1250,12 +948,6 @@ class DeltaSolver(_SolverBase):
         elif entry in entries:
             return
         entries.add(entry)
-        if self._lazy:
-            drep = self._find(dst_id)
-            bases = self._rev_geps[drep]
-            if bases is None:
-                bases = self._rev_geps[drep] = set()
-            bases.add(base_id)
         bits = self._processed(rep) & ~self._func_mask
         if bits:
             self._offer(dst_id, self._shift_bits(bits, offset))
@@ -1289,8 +981,6 @@ class DeltaSolver(_SolverBase):
         elif entry in entries:
             return
         entries.add(entry)
-        if self._lazy:
-            self._icall_callee_ids.append(callee_id)
         locs = self._locs
         for lid in self._iter_lids(self._processed(rep) & self._func_mask):
             name = locs[lid].obj.func
@@ -1311,9 +1001,10 @@ class DeltaSolver(_SolverBase):
             nodes[dst_id] if dst_id >= 0 else None,
         )
 
-    # -- shard replay --------------------------------------------------
+    # -- tape replay ---------------------------------------------------
     def _replay_shard(self, shard) -> None:
-        """Id-level shard replay straight off the flat word arena:
+        """Id-level replay of a collected constraint tape straight off
+        its flat word arena (the session's incremental cache):
         remap each shard-local symbol to a dense node id once (the
         merge is a table remap), then drive the id-level constraint
         store with index arithmetic over the ``int64`` buffer — the
@@ -1369,15 +1060,8 @@ class DeltaSolver(_SolverBase):
     # -- fixpoint ------------------------------------------------------
     def solve(self) -> None:
         self.stats.solve_passes += 1
-        if self._lazy and not self._complete:
-            # Lazy tier: the fixpoint is deferred.  force_nodes() /
-            # force_all() run restricted / complete fixpoints on demand.
-            return
         with self.stats.phase("solve"):
-            if self.schedule == "wave":
-                self._run_wave()
-            else:
-                self._run_fifo()
+            self._run_wave()
         self.stats.live_copy_edges = self._count_live_copy_edges()
 
     def _count_live_copy_edges(self) -> int:
@@ -1395,22 +1079,6 @@ class DeltaSolver(_SolverBase):
             total += len(dsts)
         return total
 
-    def _run_fifo(self) -> None:
-        worklist = self.worklist
-        dirty = self.dirty
-        delta_of = self._delta
-        while worklist:
-            rep = self._find(worklist.pop())
-            if rep not in dirty:
-                continue
-            dirty.discard(rep)
-            delta = delta_of[rep]
-            if not delta:
-                continue
-            delta_of[rep] = 0
-            self.stats.pops += 1
-            self._propagate(rep, delta)
-
     def _run_wave(self) -> None:
         """Wave/deep propagation: drain the worklist in topological
         sweeps of the copy-edge DAG instead of one pop at a time.
@@ -1425,8 +1093,6 @@ class DeltaSolver(_SolverBase):
         wave rather than once per incoming edge.  Mid-wave SCC
         collapses are handled by re-resolving each popped entry through
         ``_find``; stale heap entries are skipped via the dirty check.
-        The fixpoint reached is the same as FIFO's — only the schedule
-        (and hence pops / propagated facts) differs.
         """
         if not self._pk_live:
             self._init_pk_order()
@@ -1494,8 +1160,7 @@ class DeltaSolver(_SolverBase):
         of the copy graph built so far (one offline Tarjan sweep), then
         number the condensation in reverse postorder.  From here on the
         order is maintained per inserted edge by :meth:`_pk_insert` and
-        cycles are collapsed eagerly at insertion, so wave mode never
-        needs the lazy-cycle-detection suspect machinery."""
+        cycles are collapsed eagerly at insertion."""
         self._offline_collapse()
         find = self._find
         copy_out = self._copy_out
@@ -1634,39 +1299,13 @@ class DeltaSolver(_SolverBase):
         out = self._copy_out[rep]
         if out:
             find = self._find
-            bits_of = self._bits
-            checked = self._checked_edges
             seen: Set[int] = set()
             for raw in list(out):
                 dst = find(raw)
                 if dst == rep or dst in seen:
                     continue
                 seen.add(dst)
-                if self._offer(dst, delta):
-                    continue
-                if self._pk_live:
-                    # Pearce–Kelly collapses cycles eagerly at edge
-                    # insertion, so a no-op push can never mean an
-                    # undetected cycle here.
-                    continue
-                key = (rep << 32) | dst
-                if key in checked:
-                    continue
-                checked.add(key)
-                if bits_of[dst] == bits_of[rep]:
-                    # No-op push between equal sets: suspected cycle.
-                    self._lcd_suspects.append(rep)
-                    if len(self._lcd_suspects) < self._lcd_threshold:
-                        continue
-                    self._collapse_cycles()
-                    new_rep = find(rep)
-                    if new_rep != rep:
-                        # This node was folded away mid-pop; hand the
-                        # remaining delta to the representative (the
-                        # re-push below is idempotent).
-                        self._delta[new_rep] |= delta
-                        self._touch(new_rep)
-                        return
+                self._offer(dst, delta)
         data = delta & ~self._func_mask
         if data:
             geps = self._geps[rep]
@@ -1699,34 +1338,10 @@ class DeltaSolver(_SolverBase):
                             self._bind_icall_ids(name, call_uid, args, dst_id)
 
     # -- cycle elimination ---------------------------------------------
-    def _collapse_cycles(self) -> None:
-        """One Tarjan sweep over the copy subgraph reachable from the
-        pending suspects; collapse every multi-node SCC found.  Sweeps
-        are batched: this runs only after ``_lcd_threshold`` suspicious
-        edges accumulated, and a fruitless sweep doubles the threshold
-        so total sweep cost stays near linear even on cycle-free
-        graphs."""
-        self.stats.lcd_triggers += 1
-        roots = {self._find(node) for node in self._lcd_suspects}
-        components = self._tarjan_components(roots)
-        for component in components:
-            self._collapse(component)
-        self._lcd_suspects.clear()
-        if components:
-            self._lcd_threshold = self._LCD_BASE_THRESHOLD
-        else:
-            self._lcd_threshold = min(
-                self._lcd_threshold * 2, self._LCD_MAX_THRESHOLD
-            )
-
     def _offline_collapse(self) -> None:
         """Collapse every multi-node SCC of the whole copy graph in one
-        Tarjan sweep (the batch counterpart of lazy cycle detection —
-        used by :meth:`_init_pk_order` and the unify pre-pass).  Exact:
-        cycle members provably share their fixpoint points-to set."""
-        if self._offline_collapsed:
-            return
-        self._offline_collapsed = True
+        Tarjan sweep (used by :meth:`_init_pk_order`).  Exact: cycle
+        members provably share their fixpoint points-to set."""
         roots = [
             nid
             for nid in range(len(self._nodes))
@@ -1802,10 +1417,8 @@ class DeltaSolver(_SolverBase):
                         components.append(component)
         return components
 
-    def _collapse(self, members: List[int], unify: bool = False) -> None:
-        """Merge an SCC (or, with ``unify=True``, a unification group
-        from the Steensgaard pre-pass) onto one representative — the
-        first member."""
+    def _collapse(self, members: List[int]) -> None:
+        """Merge an SCC onto one representative — the first member."""
         reps: List[int] = []
         seen: Set[int] = set()
         for member in members:
@@ -1818,17 +1431,13 @@ class DeltaSolver(_SolverBase):
         rep = reps[0]
         union_bits = 0
         processed_all = -1  # intersection of each member's processed set
-        has_loc = False
         for member in reps:
             bits = self._bits[member]
             union_bits |= bits
             processed_all &= bits & ~self._delta[member]
-            has_loc = has_loc or self._has_loc[member]
         tables = (
             self._copy_out,
             self._copy_in,
-            self._rev_geps,
-            self._rev_loads,
             self._loads,
             self._stores,
             self._geps,
@@ -1848,11 +1457,6 @@ class DeltaSolver(_SolverBase):
             self._bits[member] = 0
             self._delta[member] = 0
             self.dirty.discard(member)
-        self._has_loc[rep] = has_loc
-        if self._slice_reps and not self._slice_reps.isdisjoint(seen):
-            # Keep the demand slice closed under collapsing: facts of a
-            # merged class live on the representative.
-            self._slice_reps.add(rep)
         self._bits[rep] = union_bits
         # A fact needs (re-)propagation from the representative unless
         # every member had already pushed it along its own edges.
@@ -1860,172 +1464,31 @@ class DeltaSolver(_SolverBase):
         self._delta[rep] = pending
         if pending:
             self._touch(rep)
-        if unify:
-            self.stats.unified_nodes += len(reps) - 1
-        else:
-            self.stats.sccs_collapsed += 1
-            self.stats.scc_nodes_merged += len(reps) - 1
-
-    # -- lazy demand forcing -------------------------------------------
-    def force_nodes(self, nodes: Iterable[Node]) -> None:
-        """Lazy tier: compute the exact points-to sets of ``nodes`` by
-        solving only the constraint slice reachable backward from them
-        (plus the conservative store / indirect-call closures), memoized
-        across calls — facts already forced are never recomputed.  A
-        no-op for eager solvers and after :meth:`force_all`."""
-        if not self._lazy or self._complete:
-            return
-        node_ids = self._node_ids
-        ids = [
-            node_ids[node] for node in nodes if node in node_ids
-        ]
-        self._force_ids(ids)
-
-    def force_wrapper_candidates(self) -> None:
-        """Lazy tier: force exactly the ``<ret>`` slices that wrapper
-        detection inspects, leaving the rest of the fixpoint deferred."""
-        if not self._lazy or self._complete:
-            return
-        self.force_nodes(
-            self._ret_node(name)
-            for name in self.module.functions
-            if name not in self._recursive and name != "main"
-        )
-
-    def force_all(self) -> None:
-        """Lazy tier: settle the complete fixpoint (everything still
-        deferred, including previously out-of-slice pops)."""
-        if not self._lazy or self._complete:
-            return
-        self._complete = True
-        with self.stats.phase("solve"):
-            self._run_fifo()
-        self.stats.lazy_forced_nodes = len(self._nodes)
-        self.stats.live_copy_edges = self._count_live_copy_edges()
-
-    def _force_ids(self, ids: List[int]) -> None:
-        # Indirect-call resolution can rebind arguments anywhere, so
-        # callee slices ride along with every force (idempotent).
-        fresh = [raw for raw in ids if raw not in self._slice]
-        fresh.extend(
-            raw for raw in self._icall_callee_ids if raw not in self._slice
-        )
-        if not fresh:
-            return
-        with self.stats.phase("solve"):
-            for raw in fresh:
-                self._extend_slice(raw)
-            self._forcing = True
-            try:
-                self._run_restricted()
-            finally:
-                self._forcing = False
-        self.stats.lazy_forced_nodes = len(self._slice)
-
-    def _extend_slice(self, raw: int) -> None:
-        """Grow the demand slice by the backward closure of node
-        ``raw`` over copy, gep and load constraints.  Stores are pulled
-        wholesale the first time any MemLoc class enters the slice —
-        facts reach memory locations only through stores, and which
-        stores hit which location is itself a points-to question."""
-        find = self._find
-        slice_ids = self._slice
-        slice_reps = self._slice_reps
-        copy_in = self._copy_in
-        rev_geps = self._rev_geps
-        rev_loads = self._rev_loads
-        stack = [raw]
-        while stack:
-            nid = stack.pop()
-            if nid in slice_ids:
-                continue
-            slice_ids.add(nid)
-            rep = find(nid)
-            slice_reps.add(rep)
-            if self._has_loc[rep] and not self._stores_pulled:
-                self._stores_pulled = True
-                for ptr, src in self._store_pairs:
-                    stack.append(ptr)
-                    stack.append(src)
-            ins_ = copy_in[rep]
-            if ins_:
-                stack.extend(ins_)
-            bases = rev_geps[rep]
-            if bases:
-                stack.extend(bases)
-            ptrs = rev_loads[rep]
-            if ptrs:
-                stack.extend(ptrs)
-        self._slice_grew = True
-
-    def _run_restricted(self) -> None:
-        """FIFO fixpoint restricted to the demand slice: pops outside
-        the slice are deferred (they stay dirty), and any mid-run slice
-        growth — a dynamic copy edge landing inside the slice — requeues
-        the deferred pops.  On exit every slice rep is at its fixpoint
-        and the deferred dirt is back on the worklist for a later
-        force."""
-        worklist = self.worklist
-        dirty = self.dirty
-        delta_of = self._delta
-        find = self._find
-        deferred: List[int] = []
-        while True:
-            self._slice_grew = False
-            while worklist:
-                rep = find(worklist.pop())
-                if rep not in dirty:
-                    continue
-                if rep not in self._slice_reps:
-                    deferred.append(rep)
-                    continue
-                dirty.discard(rep)
-                delta = delta_of[rep]
-                if not delta:
-                    continue
-                delta_of[rep] = 0
-                self.stats.pops += 1
-                self._propagate(rep, delta)
-            if self._slice_grew and deferred:
-                worklist.extend(deferred)
-                deferred.clear()
-                continue
-            break
-        worklist.extend(deferred)
+        self.stats.sccs_collapsed += 1
+        self.stats.scc_nodes_merged += len(reps) - 1
 
     # -- results -------------------------------------------------------
     def _record_memory_stats(self) -> None:
-        """Points-to representation bytes of this solve, summed over
-        live union-find representatives: packed container bytes in
-        compressed mode, dense limb bytes (``ceil(bit_length/8)``) in
-        int mode — directly comparable, which is what the
-        ``bytes_pts`` regression gate compares.  ``bytes_pts`` keeps
-        the max across the base and heap-cloning-refined passes;
-        ``container_mix`` reflects the latest pass."""
+        """Points-to representation bytes of this solve: the dense limb
+        bytes (``ceil(bit_length/8)``) of every live union-find
+        representative's bitset, the max across the base and
+        heap-cloning-refined passes."""
         super()._record_memory_stats()
         parent = self._parent
-        total = 0
-        mix: Dict[str, int] = {}
-        for nid, bits in enumerate(self._bits):
-            if parent[nid] != nid or not bits:
-                continue
-            size, bits_mix = bitset_packed_size(bits)
-            total += size
-            for kind, count in bits_mix.items():
-                mix[kind] = mix.get(kind, 0) + count
+        total = sum(
+            (bits.bit_length() + 7) // 8
+            for nid, bits in enumerate(self._bits)
+            if parent[nid] == nid
+        )
         self.stats.bytes_pts = max(self.stats.bytes_pts, total)
-        self.stats.container_mix = mix
 
     def _node_pts(self, node: Node) -> Set[MemLoc]:
         nid = self._node_ids.get(node)
         if nid is None:
             return set()
-        if self._lazy and not self._complete:
-            self._force_ids([nid])
         return set(self._iter_locs(self._bits[self._find(nid)]))
 
     def _final_pts(self) -> Dict[Node, Set[MemLoc]]:
-        self.force_all()  # lazy tier: full results need the full fixpoint
         expanded: Dict[Node, Set[MemLoc]] = {}
         cache: Dict[int, Set[MemLoc]] = {}
         nodes = self._nodes

@@ -1,38 +1,26 @@
-"""Process-parallel constraint generation for the Andersen solvers.
+"""Per-function constraint tapes for the incremental session cache.
 
 The constraint generator walks every function (plus any allocation-
 wrapper clones its call sites instantiate) and emits pts / copy / load /
-store / gep / icall constraints.  That walk is embarrassingly parallel
-across functions — the only shared state is the symbol interner and the
-solver's constraint store — so with ``jobs > 1`` it is sharded:
+store / gep / icall constraints.  :class:`repro.service.session.AnalysisSession`
+caches that walk per function so an edit only regenerates the dirty
+functions:
 
-1. The module's functions are split into **contiguous** chunks in
-   module order (:func:`repro.analysis.parallel.chunk_evenly`).
-2. Each worker process runs a :class:`_ShardCollector` — the real
-   generator (``_SolverBase._gen_function``, including nested wrapper
-   clone instantiation) with the constraint hooks swapped for recorders
-   — and returns a :class:`ShardResult`: a per-shard symbol table (its
-   own interning, local ids) plus a flat ``int64`` word arena over
-   those ids.  Generation *streams* into the arena: each hook appends
-   its op's words directly, so no per-function tuple lists are ever
-   materialized — the tape's peak memory is its final size, and the
-   same buffer ships verbatim through ``multiprocessing.shared_memory``
-   (:class:`repro.service.pool.FlatTape`) without an encode step.
-3. The parent replays the word streams **in shard order** through the
-   solver's id-level constraint hooks, remapping each shard-local
-   symbol to a dense solver id once (``DeltaSolver._replay_shard``).
-   Because the chunks are contiguous and each arena is in generation
-   order, the replayed constraint stream is exactly the serial
-   generator's stream, so the post-merge solver state — and therefore
-   every downstream result — is bit-identical to ``jobs=1``.
-
-Workers inherit the module / wrappers / recursive-set snapshot through
-``fork`` copy-on-write (nothing is pickled on the way in); only the
-compact :class:`ShardResult` arenas are pickled on the way back, which
-is what keeps the shard round-trip cheaper than the generation it
-replaces.  When ``fork`` is unavailable (or a pool cannot be created),
-:func:`generate_shards` returns ``None`` and the caller falls back to
-the serial loop.
+1. A :class:`_ShardCollector` — the real generator
+   (``_SolverBase._gen_function``, including nested wrapper clone
+   instantiation) with the constraint hooks swapped for recorders —
+   runs over one function and returns a :class:`ShardResult`: a
+   symbol table (its own interning, local ids) plus a flat ``int64``
+   word arena over those ids.  Generation *streams* into the arena:
+   each hook appends its op's words directly, so no per-function tuple
+   lists are ever materialized.
+2. The solver replays the word streams **in module order** through its
+   id-level constraint hooks, remapping each tape-local symbol to a
+   dense solver id once (``DeltaSolver._replay_shard``).  Because each
+   arena is in generation order, the replayed constraint stream is
+   exactly the serial generator's stream, so the solver state — and
+   therefore every downstream result — is bit-identical to a cold
+   :func:`repro.analysis.andersen.analyze_pointers`.
 
 Word encoding (one op = one run of ``int64`` words, tags from
 :mod:`repro.analysis.andersen`):
@@ -60,78 +48,28 @@ from typing import (
 )
 
 from repro.analysis.memobjects import MemLoc, MemObject
-from repro.analysis.parallel import chunk_evenly, fork_available, fork_pool
 from repro.analysis.solverstats import SolverStats
 from repro.ir.module import Module
-from repro.obs.trace import TRACE
 
 #: ``None`` GEP-offset sentinel — far outside any field index.
 GEP_NONE = -(2**62)
 
 
-def encode_ops(ops: Sequence[tuple]) -> "array":
-    """Encode symbol-id op tuples as a flat ``int64`` word arena
-    (the inverse of :func:`decode_words`)."""
-    from repro.analysis.andersen import OP_GEP, OP_ICALL
-
-    words = array("q")
-    append = words.append
-    for op in ops:
-        tag = op[0]
-        if tag == OP_ICALL:
-            args = op[3]
-            append(tag)
-            append(op[1])
-            append(op[2])
-            append(len(args))
-            words.extend(args)
-            append(op[4])
-        elif tag == OP_GEP:
-            append(tag)
-            append(op[1])
-            append(op[2])
-            append(GEP_NONE if op[3] is None else op[3])
-        else:
-            append(tag)
-            append(op[1])
-            append(op[2])
-    return words
-
-
 def iter_ops(words: Sequence[int]) -> Iterator[tuple]:
-    """Decode a word arena op by op (no list materialized).
-
-    Raises :class:`ValueError` on a truncated buffer — an op whose
-    encoding runs past the end of ``words`` — or an unknown tag, so a
-    corrupt shared-memory transfer fails loudly instead of replaying a
-    prefix.
-    """
-    from repro.analysis.andersen import (
-        OP_COPY,
-        OP_GEP,
-        OP_ICALL,
-        OP_LOAD,
-        OP_PTS,
-        OP_STORE,
-    )
+    """Decode a word arena op by op (no list materialized)."""
+    from repro.analysis.andersen import OP_GEP, OP_ICALL
 
     i = 0
     n = len(words)
     while i < n:
         tag = words[i]
         if tag == OP_ICALL:
-            if i + 4 > n:
-                raise ValueError("truncated op tape: ICALL header")
             nargs = words[i + 3]
             end = i + 5 + nargs
-            if nargs < 0 or end > n:
-                raise ValueError("truncated op tape: ICALL args")
-            args = tuple(words[i + 4 : i + 4 + nargs])
+            args = tuple(words[i + 4 : end - 1])
             yield (tag, words[i + 1], words[i + 2], args, words[end - 1])
             i = end
         elif tag == OP_GEP:
-            if i + 4 > n:
-                raise ValueError("truncated op tape: GEP")
             offset = words[i + 3]
             yield (
                 tag,
@@ -140,30 +78,21 @@ def iter_ops(words: Sequence[int]) -> Iterator[tuple]:
                 None if offset == GEP_NONE else offset,
             )
             i += 4
-        elif tag in (OP_PTS, OP_COPY, OP_LOAD, OP_STORE):
-            if i + 3 > n:
-                raise ValueError("truncated op tape: binary op")
+        else:
             yield (tag, words[i + 1], words[i + 2])
             i += 3
-        else:
-            raise ValueError(f"unknown op tag {tag} in tape")
-
-
-def decode_words(words: Sequence[int]) -> List[tuple]:
-    """The word arena as a list of op tuples (tests / comparisons)."""
-    return list(iter_ops(words))
 
 
 @dataclass
 class ShardResult:
-    """One worker's contribution: a symbol table, a flat word arena
-    over it, and the generation side-tables the parent must merge."""
+    """One collector run's product: a symbol table, a flat word arena
+    over it, and the generation side-tables the solver must merge."""
 
     #: shard-local id -> symbol (PVar or MemLoc, in first-use order)
     syms: List[object] = field(default_factory=list)
     #: the op tape as a flat ``int64`` word arena (see the module
     #: docstring for the encoding); appended to directly during
-    #: generation and shipped verbatim over shared memory
+    #: generation
     words: "array" = field(default_factory=lambda: array("q"))
     #: call uid -> direct-call targets seen during generation
     call_targets: Dict[int, Set[str]] = field(default_factory=dict)
@@ -173,32 +102,21 @@ class ShardResult:
     instantiated: Set[Tuple[str, int]] = field(default_factory=set)
     #: alloc uid -> objects, in generation order
     alloc_objects: Dict[int, List[MemObject]] = field(default_factory=dict)
-    #: finished worker spans (``Tracer.export_spans`` tuples) when the
-    #: parent had tracing on at fork time; stitched back with
-    #: ``TRACE.adopt`` so the trace shows one track per worker pid
-    spans: List[tuple] = field(default_factory=list)
-
-    @property
-    def ops(self) -> List[tuple]:
-        """The tape decoded to op tuples — a compatibility view for
-        non-hot consumers (normalized-tape comparison, the reference
-        solver's object-level replay); the solvers walk ``words``."""
-        return decode_words(self.words)
 
 
 def _collector_class():
-    # Deferred: andersen imports this module lazily (inside _seed) and
-    # importing it here at top level would be circular.
+    # Deferred: andersen imports this module lazily (inside
+    # _replay_shard) and importing it here at top level would be
+    # circular.
     from repro.analysis import andersen
 
     class _ShardCollector(andersen._SolverBase):
         """The constraint generator with recording hooks.
 
         Runs ``_gen_function`` (and everything it pulls in — wrapper
-        clone instantiation, direct-call binding) for one contiguous
-        chunk of functions, interning symbols shard-locally and
-        streaming each emitted constraint's words straight into the
-        shard arena.  It never solves; its only products are the arena
+        clone instantiation, direct-call binding) for the named
+        functions, interning symbols tape-locally and streaming each
+        emitted constraint's words straight into the tape arena.  It never solves; its only products are the arena
         and the side-tables.
         """
 
@@ -283,59 +201,3 @@ def _collector_class():
             words.append(-1 if dst_node is None else self._sid(dst_node))
 
     return _ShardCollector
-
-
-#: Fork-inherited work description: (module, wrappers, recursive).
-#: Set in the parent immediately before the pool forks; workers read it
-#: from their copy-on-write heap instead of unpickling the module.
-_WORK: Optional[Tuple[Module, FrozenSet[str], Set[str]]] = None
-
-
-def _collect_chunk(names: List[str]) -> ShardResult:
-    """Worker entry point: generate one chunk's constraint tape."""
-    assert _WORK is not None, "shard worker started without fork context"
-    module, wrappers, recursive = _WORK
-    if TRACE.enabled:
-        # The fork copied the parent's event list; drop it so the
-        # worker exports only its own spans for the parent to adopt.
-        TRACE.clear()
-        with TRACE.span("shard.collect", functions=len(names)):
-            collector = _collector_class()(module, wrappers, recursive, names)
-        collector.result_shard.spans = TRACE.export_spans()
-        return collector.result_shard
-    collector = _collector_class()(module, wrappers, recursive, names)
-    return collector.result_shard
-
-
-def generate_shards(
-    module: Module,
-    wrappers: FrozenSet[str],
-    recursive: Set[str],
-    jobs: int,
-) -> Optional[List[ShardResult]]:
-    """Shard constraint generation across ``jobs`` worker processes.
-
-    Returns the shard results in module order, or ``None`` when
-    parallel generation is unavailable (no ``fork``, a pool cannot be
-    created, or there is nothing to split) — callers then run the
-    serial generator.  Worker *failures* are not swallowed: a bug in
-    the collector must surface, not silently degrade to serial.
-    """
-    if jobs < 2 or not fork_available():
-        return None
-    chunks = chunk_evenly(list(module.functions), jobs)
-    if len(chunks) < 2:
-        return None
-    global _WORK
-    _WORK = (module, wrappers, set(recursive))
-    try:
-        try:
-            pool = fork_pool(len(chunks))
-        except (OSError, AssertionError):
-            # Can't fork here (resource limits, daemonic process, ...):
-            # degrade to serial generation.
-            return None
-        with pool:
-            return pool.map(_collect_chunk, chunks)
-    finally:
-        _WORK = None

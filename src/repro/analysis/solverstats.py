@@ -40,29 +40,14 @@ class SolverStats:
 
     Attributes:
         solver: ``"delta"`` or ``"reference"``.
-        schedule: Worklist discipline — ``"wave"`` (topological waves
-            over the copy-edge DAG, the delta solver's default) or
-            ``"fifo"`` (plain worklist pops).
-        tier: Precision tier of the run — ``"full"``, ``"lazy"`` or
-            ``"unified"`` (see :mod:`repro.analysis.tiers`).
-        storage: Points-to representation — ``"int"`` (dense Python-int
-            bitsets) or ``"compressed"`` (roaring-style chunked
-            containers; see :mod:`repro.analysis.bitsets`).
         solve_passes: Number of ``solve()`` fixpoints run (2 with heap
             cloning: the wrapper-detection pre-pass plus the re-run).
         pops: Worklist pops that did propagation work.
-        waves: Propagation waves executed (wave schedule only).
+        waves: Propagation waves executed (delta solver only).
         peak_wave_width: Most nodes popped in a single wave.
         wave_reoffers_avoided: Deltas merged into a node still pending
-            later in the current wave — each one a pop (and a re-offer
-            of that node's delta) the FIFO schedule would have risked.
-        gen_shards: Constraint-generation shards merged (0 when the
-            generator ran serially).
-        gen_serial_fallbacks: Constraint-generation passes that asked
-            for parallel sharding (via the session default or
-            ``REPRO_JOBS``) but fell back to serial because the module
-            was below the fork-pool break-even size
-            (:data:`repro.analysis.parallel.PARALLEL_MIN_OPS`).
+            later in the current wave — each one a re-pop of that node
+            a one-at-a-time worklist would have risked.
         facts_propagated: Facts offered along constraint edges (the
             solver's raw propagation volume — the figure difference
             propagation shrinks).
@@ -70,65 +55,44 @@ class SolverStats:
         copy_edges: Distinct copy edges added to the constraint graph
             (counted at insertion, before any collapsing).
         live_copy_edges: Distinct representative-level copy edges left
-            when solving finished — what unification and cycle collapse
-            actually shrank the graph to.
+            when solving finished — what cycle collapse actually shrank
+            the graph to.
         icall_bindings: Distinct (call site, callee) pairs bound for
             indirect calls.
-        lcd_triggers: Lazy-cycle-detection sweeps started.
         sccs_collapsed: Copy-edge SCCs collapsed onto a representative.
         scc_nodes_merged: Total nodes folded into representatives.
-        unified_nodes: Nodes folded into their single copy source by
-            the Steensgaard-style pre-collapse
-            (:mod:`repro.analysis.unify`; unified tier only).
         pk_reorders: Pearce–Kelly reorder operations performed to keep
             the incremental topological order valid as copy edges
-            landed during solving (wave schedule only).
-        lazy_forced_nodes: Distinct constraint-graph nodes pulled into
-            the forced slice universe by demand queries (lazy tier
-            only; a full ``force_all`` sets it to the node count).
+            landed during solving (delta solver only).
         peak_worklist: High-water mark of the worklist.
-        bytes_pts: Bytes of the points-to representation at finalize,
-            summed over live union-find representatives — packed
-            container bytes in compressed storage, dense limb bytes in
-            int storage (max across solve passes).  The memory figure
-            the ``tools/diff_solver_stats.py`` gate regresses on.
+        bytes_pts: Bytes of the points-to bitsets at finalize, summed
+            over live union-find representatives (max across solve
+            passes).  The memory figure the
+            ``tools/diff_solver_stats.py`` gate regresses on.
         peak_rss: Process peak resident set size in bytes
             (``ru_maxrss``) observed at finalize.
-        container_mix: Histogram of packed container kinds across all
-            live points-to sets — ``{"array": n, "bitmap": n,
-            "run": n}`` for compressed storage, ``{"int": n}`` for int
-            storage.
-        phase_seconds: Wall time per phase (``constraints``, ``unify``,
+        phase_seconds: Wall time per phase (``constraints``,
             ``solve``, ``wrappers``, ``finalize``), accumulated across
             passes.
     """
 
     solver: str = "delta"
-    schedule: str = "fifo"
-    tier: str = "full"
-    storage: str = "int"
     solve_passes: int = 0
     pops: int = 0
     waves: int = 0
     peak_wave_width: int = 0
     wave_reoffers_avoided: int = 0
-    gen_shards: int = 0
-    gen_serial_fallbacks: int = 0
     facts_propagated: int = 0
     facts_added: int = 0
     copy_edges: int = 0
     live_copy_edges: int = 0
     icall_bindings: int = 0
-    lcd_triggers: int = 0
     sccs_collapsed: int = 0
     scc_nodes_merged: int = 0
-    unified_nodes: int = 0
     pk_reorders: int = 0
-    lazy_forced_nodes: int = 0
     peak_worklist: int = 0
     bytes_pts: int = 0
     peak_rss: int = 0
-    container_mix: Dict[str, int] = field(default_factory=dict)
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     @contextmanager
@@ -136,14 +100,10 @@ class SolverStats:
         """Accumulate wall time of the enclosed block under ``name``.
 
         When tracing is enabled the block also becomes a span, so
-        every ``stats.phase(...)`` site (constraint generation, unify,
-        solve, wrappers, finalize) shows up in the trace tree for free.
+        every ``stats.phase(...)`` site (constraint generation, solve,
+        wrappers, finalize) shows up in the trace tree for free.
         """
-        span = (
-            TRACE.span(name, tier=self.tier, storage=self.storage)
-            if TRACE.enabled
-            else None
-        )
+        span = TRACE.span(name) if TRACE.enabled else None
         if span is not None:
             span.__enter__()
         started = time.perf_counter()
@@ -168,31 +128,22 @@ class SolverStats:
         """JSON-ready snapshot (used by the benchmark trajectory)."""
         return {
             "solver": self.solver,
-            "schedule": self.schedule,
-            "tier": self.tier,
-            "storage": self.storage,
             "solve_passes": self.solve_passes,
             "pops": self.pops,
             "waves": self.waves,
             "peak_wave_width": self.peak_wave_width,
             "wave_reoffers_avoided": self.wave_reoffers_avoided,
-            "gen_shards": self.gen_shards,
-            "gen_serial_fallbacks": self.gen_serial_fallbacks,
             "facts_propagated": self.facts_propagated,
             "facts_added": self.facts_added,
             "copy_edges": self.copy_edges,
             "live_copy_edges": self.live_copy_edges,
             "icall_bindings": self.icall_bindings,
-            "lcd_triggers": self.lcd_triggers,
             "sccs_collapsed": self.sccs_collapsed,
             "scc_nodes_merged": self.scc_nodes_merged,
-            "unified_nodes": self.unified_nodes,
             "pk_reorders": self.pk_reorders,
-            "lazy_forced_nodes": self.lazy_forced_nodes,
             "peak_worklist": self.peak_worklist,
             "bytes_pts": self.bytes_pts,
             "peak_rss": self.peak_rss,
-            "container_mix": dict(sorted(self.container_mix.items())),
             "phase_seconds": {
                 name: round(seconds, 6)
                 for name, seconds in sorted(self.phase_seconds.items())
@@ -200,47 +151,10 @@ class SolverStats:
             "total_seconds": round(self.total_seconds, 6),
         }
 
-    def merge(self, other: "SolverStats") -> None:
-        """Fold ``other``'s counters into this instance."""
-        self.solve_passes += other.solve_passes
-        self.pops += other.pops
-        self.waves += other.waves
-        self.peak_wave_width = max(self.peak_wave_width, other.peak_wave_width)
-        self.wave_reoffers_avoided += other.wave_reoffers_avoided
-        self.gen_shards += other.gen_shards
-        self.gen_serial_fallbacks += other.gen_serial_fallbacks
-        self.facts_propagated += other.facts_propagated
-        self.facts_added += other.facts_added
-        self.copy_edges += other.copy_edges
-        self.live_copy_edges = max(
-            self.live_copy_edges, other.live_copy_edges
-        )
-        self.icall_bindings += other.icall_bindings
-        self.lcd_triggers += other.lcd_triggers
-        self.sccs_collapsed += other.sccs_collapsed
-        self.scc_nodes_merged += other.scc_nodes_merged
-        self.unified_nodes += other.unified_nodes
-        self.pk_reorders += other.pk_reorders
-        self.lazy_forced_nodes = max(
-            self.lazy_forced_nodes, other.lazy_forced_nodes
-        )
-        self.peak_worklist = max(self.peak_worklist, other.peak_worklist)
-        self.bytes_pts = max(self.bytes_pts, other.bytes_pts)
-        self.peak_rss = max(self.peak_rss, other.peak_rss)
-        for kind, count in other.container_mix.items():
-            self.container_mix[kind] = (
-                self.container_mix.get(kind, 0) + count
-            )
-        for name, seconds in other.phase_seconds.items():
-            self.phase_seconds[name] = (
-                self.phase_seconds.get(name, 0.0) + seconds
-            )
-
     def format_summary(self) -> str:
         """Multi-line human-readable profile (CLI / harness report)."""
         lines = [
-            f"solver profile ({self.solver}, {self.schedule} schedule, "
-            f"{self.tier} tier, {self.storage} storage, "
+            f"solver profile ({self.solver}, "
             f"{self.solve_passes} solve pass(es)):",
             f"  pops              {self.pops:>10d}",
         ]
@@ -251,15 +165,6 @@ class SolverStats:
                 f"{self.wave_reoffers_avoided} re-offers avoided, "
                 f"{self.pk_reorders} PK reorders)"
             )
-        if self.gen_shards:
-            lines.append(
-                f"  gen shards        {self.gen_shards:>10d}"
-            )
-        if self.gen_serial_fallbacks:
-            lines.append(
-                f"  serial fallbacks  {self.gen_serial_fallbacks:>10d} "
-                f"(module below the parallel-gen break-even size)"
-            )
         lines += [
             f"  facts propagated  {self.facts_propagated:>10d}",
             f"  facts added       {self.facts_added:>10d}",
@@ -267,27 +172,16 @@ class SolverStats:
             f"({self.live_copy_edges} live post-solve)",
             f"  icall bindings    {self.icall_bindings:>10d}",
             f"  SCCs collapsed    {self.sccs_collapsed:>10d} "
-            f"({self.scc_nodes_merged} nodes merged, "
-            f"{self.lcd_triggers} LCD sweeps)",
+            f"({self.scc_nodes_merged} nodes merged)",
         ]
-        if self.unified_nodes:
-            lines.append(
-                f"  unified nodes     {self.unified_nodes:>10d} "
-                f"(Steensgaard pre-collapse)"
-            )
-        if self.lazy_forced_nodes:
-            lines.append(
-                f"  lazy forced nodes {self.lazy_forced_nodes:>10d}"
-            )
         lines.append(f"  peak worklist     {self.peak_worklist:>10d}")
-        for name in ("constraints", "unify", "solve", "wrappers", "finalize"):
+        for name in ("constraints", "solve", "wrappers", "finalize"):
             if name in self.phase_seconds:
                 lines.append(
                     f"  {name + ' time':<18s}{self.phase_seconds[name]:>9.4f}s"
                 )
         for name in sorted(self.phase_seconds):
-            if name not in ("constraints", "unify", "solve", "wrappers",
-                            "finalize"):
+            if name not in ("constraints", "solve", "wrappers", "finalize"):
                 lines.append(
                     f"  {name + ' time':<18s}{self.phase_seconds[name]:>9.4f}s"
                 )
@@ -296,19 +190,12 @@ class SolverStats:
 
     def format_memory_summary(self) -> str:
         """Human-readable memory profile (``repro check --mem-stats``)."""
-        mix = ", ".join(
-            f"{count} {kind}"
-            for kind, count in sorted(self.container_mix.items())
-        )
-        lines = [
-            f"memory profile ({self.storage} storage):",
+        return "\n".join([
+            "memory profile:",
             f"  points-to bytes   {self.bytes_pts:>12,d}",
             f"  peak RSS          {self.peak_rss:>12,d}"
             f"  ({self.peak_rss / (1024 * 1024):.1f} MiB)",
-        ]
-        if mix:
-            lines.append(f"  containers        {mix}")
-        return "\n".join(lines)
+        ])
 
 
 @dataclass
@@ -333,10 +220,6 @@ class QueryStats:
         memo_entries: Current size of the engine's verdict memo.
         query_seconds: Total wall time spent answering queries.
         max_query_seconds: Slowest single query.
-        parallel_jobs: Largest worker count a batched
-            ``query_sites(jobs=N)`` call fanned out to (1 = all
-            queries ran serially).
-        parallel_batches: Parallel ``query_sites`` fan-outs performed.
     """
 
     resolver: str = "callstring"
@@ -352,8 +235,6 @@ class QueryStats:
     memo_entries: int = 0
     query_seconds: float = 0.0
     max_query_seconds: float = 0.0
-    parallel_jobs: int = 1
-    parallel_batches: int = 0
 
     def note_query(
         self,
@@ -405,29 +286,7 @@ class QueryStats:
             "memo_entries": self.memo_entries,
             "query_seconds": round(self.query_seconds, 6),
             "max_query_seconds": round(self.max_query_seconds, 6),
-            "parallel_jobs": self.parallel_jobs,
-            "parallel_batches": self.parallel_batches,
         }
-
-    def merge(self, other: "QueryStats") -> None:
-        """Fold ``other``'s counters into this instance."""
-        self.queries += other.queries
-        self.bottom_verdicts += other.bottom_verdicts
-        self.memo_hits += other.memo_hits
-        self.states_visited += other.states_visited
-        self.nodes_visited += other.nodes_visited
-        self.peak_nodes_visited = max(
-            self.peak_nodes_visited, other.peak_nodes_visited
-        )
-        self.early_cutoffs += other.early_cutoffs
-        self.memo_entries = max(self.memo_entries, other.memo_entries)
-        self.graph_nodes = max(self.graph_nodes, other.graph_nodes)
-        self.query_seconds += other.query_seconds
-        self.max_query_seconds = max(
-            self.max_query_seconds, other.max_query_seconds
-        )
-        self.parallel_jobs = max(self.parallel_jobs, other.parallel_jobs)
-        self.parallel_batches += other.parallel_batches
 
     def format_summary(self) -> str:
         """Multi-line human-readable profile (CLI / harness report)."""
@@ -446,9 +305,4 @@ class QueryStats:
             f"  query time        {self.query_seconds:>9.4f}s "
             f"(max {self.max_query_seconds:.4f}s)",
         ]
-        if self.parallel_batches:
-            lines.append(
-                f"  parallel batches  {self.parallel_batches:>10d} "
-                f"(up to {self.parallel_jobs} jobs)"
-            )
         return "\n".join(lines)

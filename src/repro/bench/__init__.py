@@ -1,7 +1,7 @@
 """``repro bench``: the scenario-factory benchmark orchestrator.
 
 One declarative :class:`~repro.bench.matrix.MatrixSpec` — workloads ×
-configs × tiers × storages × schedules × jobs — expands into
+configs — expands into
 :class:`~repro.bench.matrix.Cell` objects, executes across a process
 pool with per-cell timeouts and crash isolation
 (:mod:`repro.bench.scheduler`), lands schema-stamped rows in a JSONL

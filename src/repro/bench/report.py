@@ -6,14 +6,10 @@ Three tables over one run's rows:
   and propagation counts under each configuration;
 - **modelled slowdown** (Figure-10/11-style): per workload, the cost
   model's slowdown percentage under each configuration;
-- **analysis wall-clock by tier**: mean per-cell seconds for each
-  (configuration, tier) pair — the axis the tiered-solving work
-  exists to move.
+- **cell wall-clock**: mean per-cell seconds for each configuration.
 
-Detection results are bit-identical across tiers / storages /
-schedules / jobs (the differential suite's contract), so the first
-two tables collapse those axes and take each (workload, config)'s
-first row; the wall-clock table is where the collapsed axes show up.
+Each (workload, config) pair is one cell; should a log repeat a cell,
+the first two tables take its first row.
 """
 
 from __future__ import annotations
@@ -87,25 +83,12 @@ def format_bench_report(rows: List[Dict]) -> str:
             body.append(cells)
         lines += _table(["workload"] + list(configs), body) + [""]
 
-        tiers = sorted({row["tier"] for row in ok})
-        if len(tiers) > 1 or len(ok) > len(first):
-            lines += ["## Mean cell wall-clock by tier (s)", ""]
-            body = []
-            for spec in configs:
-                cells = [spec]
-                for tier in tiers:
-                    sample = [
-                        row["elapsed"]
-                        for row in ok
-                        if row["config"] == spec and row["tier"] == tier
-                    ]
-                    cells.append(
-                        f"{sum(sample) / len(sample):.3f}"
-                        if sample
-                        else "—"
-                    )
-                body.append(cells)
-            lines += _table(["config"] + tiers, body) + [""]
+        lines += ["## Mean cell wall-clock (s)", ""]
+        body = []
+        for spec in configs:
+            sample = [row["elapsed"] for row in ok if row["config"] == spec]
+            body.append([spec, f"{sum(sample) / len(sample):.3f}"])
+        lines += _table(["config", "seconds"], body) + [""]
     if errors:
         lines += ["## Errors", ""]
         lines += [

@@ -2,7 +2,7 @@
 
 :func:`run_cell` is the measurement itself — resolve the workload (the
 registry's 19 programs or an oracle-bred corpus seed), run the full
-pipeline under the cell's exact knob setting, execute instrumented,
+pipeline under the cell's configuration, execute instrumented,
 and return one flat row of counters.  :func:`run_matrix` drives a
 bounded pool of **fork-started processes, one per cell**: a cell that
 raises, dies, or overruns its timeout becomes a ``status: "error"``
@@ -21,25 +21,29 @@ Fork-per-cell (rather than a reusable worker pool) is deliberate:
 
 On platforms without ``fork`` (or with ``pool=1``) execution degrades
 to in-process, still exception-isolated per cell; rows are identical
-because every configuration's result is bit-identical across all
-parallelism (the contract the differential suite enforces) — the pool
-only buys wall-clock and crash isolation.
+because a cell's result does not depend on the process it ran in —
+the pool only buys wall-clock and crash isolation.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.parallel import fork_available
 from repro.bench.matrix import BenchSpecError, Cell
-from repro.options import AnalysisOptions
 
 #: Default per-cell wall-clock budget (seconds) in process mode.
 DEFAULT_TIMEOUT = 300.0
 
 #: Poll interval while waiting on worker pipes (seconds).
 _POLL_S = 0.02
+
+
+def fork_available() -> bool:
+    """Whether fork-started worker processes exist on this platform
+    (POSIX)."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def resolve_workload(name: str, corpus_dir=None):
@@ -81,12 +85,6 @@ def run_cell(cell: Cell, corpus_dir=None) -> Dict:
 
     started = time.perf_counter()
     kind, obj = resolve_workload(cell.workload, corpus_dir)
-    options = AnalysisOptions(
-        tier=cell.tier,
-        storage=cell.storage,
-        schedule=cell.schedule,
-        jobs=cell.jobs,
-    )
     config = cell.analysis_config
     if kind == "corpus":
         from repro.ir.parser import parse_ir
@@ -97,14 +95,12 @@ def run_cell(cell: Cell, corpus_dir=None) -> Dict:
             name=cell.workload,
             level=FUZZ_PIPELINE,
             configs=[config],
-            options=options,
         )
     else:
         analysis = analyze(
             source=obj.source(cell.scale),
             name=cell.workload,
             configs=[config],
-            options=options,
         )
     report = analysis.run(config)
     plan = analysis.plans[config]
@@ -194,8 +190,6 @@ def run_matrix(
         resolve_workload(name, corpus_dir)
     if pool <= 1 or not fork_available():
         return _run_serial(cells, corpus_dir, say)
-
-    import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     queue = list(cells)

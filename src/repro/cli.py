@@ -21,16 +21,14 @@ Commands:
   endpoint over long-lived :class:`repro.service.AnalysisSession`
   objects with incremental re-analysis (see :mod:`repro.service`).
 - ``bench``        — the scenario-factory matrix orchestrator: run a
-  declarative workload × config × tier × storage × schedule × jobs
-  matrix across a crash-isolated process pool, write schema-stamped
+  declarative workload × config matrix across a crash-isolated
+  process pool, write schema-stamped
   rows to a JSONL log, diff against a committed baseline, and promote
   oracle-minimized reproducers into the permanent corpus (see
   :mod:`repro.bench`).
 
-``check``, ``report``, ``fuzz`` and ``serve`` share one analysis-options
-flag group (``--jobs`` / ``--tier`` / ``--demand``), resolved through
-:class:`repro.options.AnalysisOptions` (explicit flag > session default
-> ``REPRO_JOBS``/``REPRO_TIER`` environment > built-in default).
+``check`` and ``serve`` share one analysis-options flag group
+(``--demand``), built into an :class:`repro.options.AnalysisOptions`.
 """
 
 from __future__ import annotations
@@ -43,14 +41,7 @@ from typing import List, Optional
 from repro.api import CONFIG_ORDER, analyze
 from repro.ir import module_to_str, verify_module
 from repro.opt import OPT_LEVELS, run_pipeline
-from repro.options import (
-    InvalidJobsError,
-    InvalidStorageError,
-    InvalidTierError,
-    add_analysis_options,
-    options_from_args,
-    session_options,
-)
+from repro.options import add_analysis_options, options_from_args
 from repro.runtime import (
     DEFAULT_COST_MODEL,
     RuntimeFault,
@@ -349,11 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.harness.report import build_report
 
-    text = build_report(
-        scale=args.scale,
-        sections=args.sections or None,
-        options=options_from_args(args),
-    )
+    text = build_report(scale=args.scale, sections=args.sections or None)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -373,7 +360,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if not seeds and not args.module:
         raise UsageError("nothing to fuzz: give --seeds and/or --module")
     budget = _parse_budget(args.budget)
-    opts = options_from_args(args)
     texts = {}
     for path in args.module or []:
         text = _read(path)
@@ -388,20 +374,18 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         stamp = time.strftime("%Y%m%d_%H%M%S")
         out_path = f"benchmarks/results/fuzz_{stamp}.jsonl"
     say = (lambda message: None) if args.quiet else print
-    with session_options(opts):
-        result = run_campaign(
-            seeds,
-            matrix,
-            budget_seconds=budget,
-            minimize=args.minimize,
-            minimize_evals=args.minimize_evals,
-            out_path=out_path,
-            reproducer_dir=args.reproducers,
-            texts=texts or None,
-            log=say,
-            options=opts,
-            via_session=args.via_session,
-        )
+    result = run_campaign(
+        seeds,
+        matrix,
+        budget_seconds=budget,
+        minimize=args.minimize,
+        minimize_evals=args.minimize_evals,
+        out_path=out_path,
+        reproducer_dir=args.reproducers,
+        texts=texts or None,
+        log=say,
+        via_session=args.via_session,
+    )
     configs = ", ".join(spec for spec, _ in matrix)
     print(
         f"fuzz: {len(result.cases)}/{result.seeds_requested + len(texts)} "
@@ -463,13 +447,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 0
     workloads = _bench_workload_names(args.workloads, args.corpus_dir)
     spec = MatrixSpec.from_args(
-        workloads=workloads,
-        configs=args.configs,
-        tiers=args.tiers,
-        storages=args.storages,
-        schedules=args.schedules,
-        jobs=args.jobs_axis,
-        scale=args.scale,
+        workloads=workloads, configs=args.configs, scale=args.scale
     )
     cells = spec.expand()
     pool = args.pool
@@ -479,10 +457,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         pool = max(1, min(4, (_os.cpu_count() or 2) - 1))
     say(
         f"bench: {len(cells)} cell(s) "
-        f"({len(spec.workloads)} workloads x {len(spec.configs)} configs "
-        f"x {len(spec.tiers)} tiers x {len(spec.storages)} storages "
-        f"x {len(spec.schedules)} schedules x {len(spec.jobs)} job "
-        f"levels), pool={pool}, scale={spec.scale:g}"
+        f"({len(spec.workloads)} workloads x {len(spec.configs)} "
+        f"configs), pool={pool}, scale={spec.scale:g}"
     )
     if args.dry_run:
         for cell in cells:
@@ -559,9 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "phase timings)")
     check.add_argument("--mem-stats", action="store_true",
                        help="print the solver memory profile (points-to "
-                            "representation bytes, container mix, peak "
-                            "RSS); see --storage for the representation "
-                            "knob")
+                            "bitset bytes, peak RSS)")
     check.add_argument("--explain", action="store_true",
                        help="trace each warning's undefined value back "
                             "to its origin (demand-driven: only the "
@@ -578,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "solve, VFG build, Opt I/II, demand queries) "
                             "and write it as Chrome trace-event JSON "
                             "(load in chrome://tracing or Perfetto)")
-    add_analysis_options(check, demand_flag=True)
+    add_analysis_options(check)
     check.set_defaults(func=cmd_check)
 
     run = sub.add_parser("run", help="execute natively")
@@ -625,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="full experiment report (markdown)")
     report.add_argument("--scale", type=float, default=0.5)
-    add_analysis_options(report)
     report.add_argument("-o", "--output", default=None)
     report.add_argument(
         "--sections",
@@ -646,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="LIST",
                       help="comma list of configurations to diff; base "
                            "names msan,tl,tl_at,opt_i,full,ext with "
-                           "variant suffixes @summary (resolver), "
-                           "+demand, *N (demand jobs)")
+                           "variant suffixes @summary (resolver) and "
+                           "+demand")
     fuzz.add_argument("--budget", default=None, metavar="TIME",
                       help="wall-clock budget for the whole campaign, "
                            "e.g. 120s or 5m (default: unbounded)")
@@ -677,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "exists to catch")
     fuzz.add_argument("--quiet", action="store_true",
                       help="suppress per-case progress lines")
-    add_analysis_options(fuzz)
     fuzz.set_defaults(func=cmd_fuzz)
 
     bench = sub.add_parser(
@@ -695,18 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of configurations "
                             "(msan,tl,tl_at,opt_i,full,ext); default "
                             "tl,tl_at,opt_i,full")
-    bench.add_argument("--tiers", default="full,unified", metavar="LIST",
-                       help="comma list of solving tiers "
-                            "(full,lazy,unified); default full,unified")
-    bench.add_argument("--storages", default="int", metavar="LIST",
-                       help="comma list of points-to storages "
-                            "(int,compressed,auto); default int")
-    bench.add_argument("--schedules", default="wave", metavar="LIST",
-                       help="comma list of worklist schedules (wave,fifo); "
-                            "default wave")
-    bench.add_argument("--jobs-axis", default="1", metavar="LIST",
-                       help="comma list of analysis worker counts; "
-                            "default 1")
     bench.add_argument("--scale", type=float, default=0.1,
                        help="workload scale factor (default 0.1; corpus "
                             "seeds are fixed-size and ignore it)")
@@ -753,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=0, metavar="N",
                          help="TCP port; 0 picks a free port and prints it "
                               "(default 0)")
-    add_analysis_options(serve_p, demand_flag=True)
+    add_analysis_options(serve_p)
     serve_p.set_defaults(func=cmd_serve)
 
     return parser
@@ -776,8 +736,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TinyCSyntaxError, LoweringError) as error:
         print(f"compile error: {error}", file=sys.stderr)
         return 2
-    except (UsageError, InvalidJobsError, InvalidStorageError,
-            InvalidTierError, UnknownConfigError, BenchSpecError,
+    except (UsageError, UnknownConfigError, BenchSpecError,
             CorpusError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ to ⊤ would silently drop that exact report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.ir import instructions as ins
 from repro.ir.dominance import DominatorTree, loop_blocks
@@ -56,7 +56,6 @@ def redundant_check_elimination(
     resolver: str = "callstring",
     interprocedural: bool = False,
     demand: bool = False,
-    jobs: "Optional[int]" = None,
     engine_factory=None,
 ) -> "tuple[Definedness, Opt2Stats]":
     """Run Algorithm 1; return the refined Γ and statistics.
@@ -71,9 +70,7 @@ def redundant_check_elimination(
     graph is answered by batched demand queries over the check sites
     (:func:`repro.vfg.demand.resolve_definedness_demand`) instead of
     whole-program reachability — bit-identical verdicts, but only the
-    check sites' backward slices are visited.  ``jobs`` fans that batch
-    across worker processes (``None`` defers to the session default /
-    ``REPRO_JOBS``).
+    check sites' backward slices are visited.
 
     ``engine_factory``, when given, builds the demand engine for the
     rewired scratch graph — ``engine_factory(scratch) -> DemandEngine``
@@ -182,11 +179,11 @@ def redundant_check_elimination(
         # with memos proven valid for *this* scratch graph.
         if engine_factory is not None:
             engine = engine_factory(scratch)
-            engine.query_sites(scratch.check_sites, jobs=jobs)
+            engine.query_sites(scratch.check_sites)
             gamma = engine.gamma()
         else:
             gamma = resolve_definedness_demand(
-                scratch, context_depth, resolver=resolver, jobs=jobs
+                scratch, context_depth, resolver=resolver
             )
     elif resolver == "summary":
         from repro.vfg.tabulation import resolve_definedness_summary

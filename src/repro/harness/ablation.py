@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.api import analyze
+from repro.options import AnalysisOptions
 from repro.workloads import WORKLOADS
 
 VARIANTS = (
@@ -45,11 +46,11 @@ def _analyze(source: str, name: str, variant: str):
     if variant == "no_semi_strong":
         kwargs["semi_strong"] = False
     elif variant == "ctx0":
-        kwargs["context_depth"] = 0
+        kwargs["options"] = AnalysisOptions(context_depth=0)
     elif variant == "ctx2":
-        kwargs["context_depth"] = 2
+        kwargs["options"] = AnalysisOptions(context_depth=2)
     elif variant == "summary":
-        kwargs["resolver"] = "summary"
+        kwargs["options"] = AnalysisOptions(resolver="summary")
     elif variant == "no_heap_cloning":
         kwargs["heap_cloning"] = False
     return analyze(source=source, name=name, **kwargs)

@@ -12,7 +12,6 @@ import time
 from typing import List, Optional
 
 from repro.api import analyze
-from repro.options import AnalysisOptions, session_options
 from repro.core.static_warner import false_positive_report
 from repro.harness.ablation import build_ablation, format_ablation
 from repro.harness.figure10 import build_figure10, format_figure10
@@ -32,30 +31,14 @@ def _block(text: str) -> str:
 def build_report(
     scale: float = 1.0,
     sections: Optional[List[str]] = None,
-    jobs: Optional[int] = None,
-    options: Optional[AnalysisOptions] = None,
 ) -> str:
     """Build the full markdown report.
 
     ``sections`` may restrict to a subset of
     ``{"table1", "figure10", "figure11", "opt_levels", "ablation",
     "warner", "extension", "solver", "trace"}`` ("trace" is opt-in
-    only — it never appears in the default set).  ``options`` (or the legacy
-    ``jobs`` keyword) installs session-default knobs — worker count,
-    solving tier — so every analysis the report runs picks them up;
-    the report content is identical for any value.
+    only — it never appears in the default set).
     """
-    opts = options if options is not None else AnalysisOptions()
-    if jobs is not None and opts.jobs is None:
-        opts = opts.merged(jobs=jobs)
-    with session_options(opts):
-        return _build_report_body(scale, sections)
-
-
-def _build_report_body(
-    scale: float,
-    sections: Optional[List[str]],
-) -> str:
     wanted = set(
         sections
         or (

@@ -9,7 +9,7 @@ shared schema::
     phase     the pipeline phase the numbers describe
     counters  the stats object's ``as_dict()`` (or field dict) payload
     wall_s    per-phase wall-clock seconds (``{phase: seconds}``)
-    tags      run context: tier / storage / schedule / jobs / ...
+    tags      run context: session / config / mode / ...
 
 The in-process registry (:data:`REGISTRY`) is a bounded ring — a
 long-lived ``repro serve`` records every update without growing
@@ -46,7 +46,7 @@ __all__ = [
 SCHEMA = "repro.stats/1"
 
 #: Tag keys promoted out of ``extra`` into the shared ``tags`` dict.
-_TAG_KEYS = ("tier", "storage", "schedule", "jobs", "mode", "opt")
+_TAG_KEYS = ("mode", "opt")
 
 
 class StatRecord:

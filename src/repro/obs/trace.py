@@ -10,7 +10,7 @@ the context-manager / decorator API::
 
     from repro.obs import TRACE
 
-    with TRACE.span("solve", tier=tier, storage=storage):
+    with TRACE.span("solve", config=name):
         ...                        # children nest automatically
 
     @traced("vfg.build")
@@ -23,9 +23,9 @@ with ``if TRACE.enabled:`` so per-wave / per-query spans cost nothing
 when nobody is looking (the bound is enforced by
 ``benchmarks/test_observability.py``).
 
-Worker processes (the resident pool, sharded constraint generation)
-trace into their fork-copied tracer and ship the finished spans back
-over their result pipe (:meth:`Tracer.export_spans`); the parent
+A forked worker process traces into its fork-copied tracer and ships
+the finished spans back over its result pipe
+(:meth:`Tracer.export_spans`); the parent
 stitches them under its own open span (:meth:`Tracer.adopt`), keeping
 the worker's pid so a Chrome/Perfetto load shows one track per
 process.  ``time.perf_counter`` is ``CLOCK_MONOTONIC`` and survives

@@ -74,24 +74,15 @@ def build_config(name: str) -> "tuple[str, Optional[UsherConfig]]":
 
     ``None`` stands for the MSan baseline.  Specs compose variant
     suffixes onto a base name: ``full@summary`` switches the resolver,
-    ``opt_i+demand`` resolves Γ demand-driven, ``full*2`` fans demand
-    batches across two worker processes.  Raises
+    ``opt_i+demand`` resolves Γ demand-driven.  Raises
     :class:`UnknownConfigError` for anything else.
     """
     spec = name.strip()
     base = spec
     resolver: Optional[str] = None
     demand = False
-    jobs: Optional[int] = None
     if "@" in base:
         base, resolver = base.split("@", 1)
-    if "*" in base:
-        base, jobs_text = base.split("*", 1)
-        if not jobs_text.isdigit() or int(jobs_text) < 1:
-            raise UnknownConfigError(
-                f"invalid jobs suffix in config {spec!r}"
-            )
-        jobs = int(jobs_text)
     if base.endswith("+demand"):
         base, demand = base[: -len("+demand")], True
     factory = CONFIG_FACTORIES.get(base)
@@ -102,7 +93,7 @@ def build_config(name: str) -> "tuple[str, Optional[UsherConfig]]":
         )
     config = factory()
     if config is None:
-        if resolver or demand or jobs:
+        if resolver or demand:
             raise UnknownConfigError(
                 f"config {spec!r}: msan takes no variant suffixes"
             )
@@ -115,8 +106,6 @@ def build_config(name: str) -> "tuple[str, Optional[UsherConfig]]":
         config = replace(config, resolver=resolver)
     if demand:
         config = replace(config, demand=True)
-    if jobs is not None:
-        config = replace(config, jobs=jobs)
     return spec, config
 
 
@@ -136,7 +125,7 @@ def build_config_matrix(
 
 
 def _contract_base(spec: str) -> str:
-    base = spec.split("@", 1)[0].split("*", 1)[0]
+    base = spec.split("@", 1)[0]
     if base.endswith("+demand"):
         base = base[: -len("+demand")]
     return base

@@ -78,14 +78,14 @@ class CampaignResult:
         return buckets
 
 
-def _prepare_text(text: str, name: str, tier: "Optional[str]" = None):
+def _prepare_text(text: str, name: str):
     """Parse printed IR, run the standard pipeline, prepare for Usher."""
     from repro.ir.parser import parse_ir
 
     module = parse_ir(text)
     module.name = name
     run_pipeline(module, FUZZ_PIPELINE)
-    return prepare_module(module, tier=tier)
+    return prepare_module(module)
 
 
 def examine_text(
@@ -93,18 +93,11 @@ def examine_text(
     name: str,
     matrix,
     plan_hook: "Optional[PlanHook]" = None,
-    tier: "Optional[str]" = None,
-    options=None,
     via_session: bool = False,
 ) -> "Tuple[str, List[Divergence]]":
     """Diff one printed-IR module against the matrix.
 
-    ``tier`` picks the solving tier the preparation runs under
-    (``None`` defers to the session default / ``REPRO_TIER``) — the
-    campaign's ground-truth diff is how tier-invariance is enforced.
-    ``options`` (:class:`repro.options.AnalysisOptions`) is the
-    consolidated form; its set fields win over ``tier``.  With
-    ``via_session=True`` every configuration is analyzed through an
+    With ``via_session=True`` every configuration is analyzed through an
     incrementally updated :class:`repro.service.session.AnalysisSession`
     instead of the one-shot pipeline — same diff against native ground
     truth, so a session-core bug shows up as a divergence.
@@ -113,11 +106,9 @@ def examine_text(
     ``divergent`` / ``skipped`` (native run exceeded the step limit or
     faulted — pathological inputs carry no soundness signal).
     """
-    if options is not None:
-        tier = options.or_keywords(tier=tier)["tier"]
     if via_session:
-        return _examine_via_session(text, name, matrix, plan_hook, tier)
-    prepared = _prepare_text(text, name, tier)
+        return _examine_via_session(text, name, matrix, plan_hook)
+    prepared = _prepare_text(text, name)
     try:
         native = run_native(prepared.module)
     except (StepLimitExceeded, RuntimeFault):
@@ -135,7 +126,7 @@ def examine_text(
 
 
 def _examine_via_session(
-    text: str, name: str, matrix, plan_hook, tier
+    text: str, name: str, matrix, plan_hook
 ) -> "Tuple[str, List[Divergence]]":
     """Examine through resident sessions: open, apply a semantics-
     preserving single-function edit (a dead constant copy after the
@@ -143,15 +134,11 @@ def _examine_via_session(
     session's plan against native execution of the session's own
     module.  Exercises the tape cache, warm solver restart, uid
     transplant and memo carryover on every corpus program."""
-    from repro.options import AnalysisOptions
     from repro.service.session import AnalysisSession
 
-    options = AnalysisOptions(tier=tier)
     divergences: "List[Divergence]" = []
     for spec, config in matrix:
-        session = AnalysisSession.from_ir(
-            text, name, options=options, usher_config=config
-        )
+        session = AnalysisSession.from_ir(text, name, usher_config=config)
         fname = session.function_names()[0]
         lines = session.function_text(fname).splitlines()
         for index, line in enumerate(lines):
@@ -173,14 +160,14 @@ def _examine_via_session(
     return ("divergent" if divergences else "ok"), divergences
 
 
-def _bucket_predicate(matrix, bucket, plan_hook, tier=None, via_session=False):
+def _bucket_predicate(matrix, bucket, plan_hook, via_session=False):
     """Minimization predicate: the module still diverges in ``bucket``."""
     spec_wanted, kind_wanted = bucket
 
     def predicate(module) -> bool:
         text = module_to_str(module)
         status, divergences = examine_text(
-            text, "minimize-candidate", matrix, plan_hook, tier,
+            text, "minimize-candidate", matrix, plan_hook,
             via_session=via_session,
         )
         return status == "divergent" and any(
@@ -236,8 +223,6 @@ def run_campaign(
     plan_hook: "Optional[PlanHook]" = None,
     texts: "Optional[Dict[str, str]]" = None,
     log: "Optional[Callable[[str], None]]" = None,
-    tier: "Optional[str]" = None,
-    options=None,
     via_session: bool = False,
 ) -> CampaignResult:
     """Run a differential fuzzing campaign.
@@ -246,13 +231,7 @@ def run_campaign(
     :data:`FUZZ_PARAMS`); ``texts`` adds supplied printed-IR modules
     (name → text) examined before the seeds.  The wall-clock budget,
     when given, bounds the whole campaign including minimization.
-    ``tier`` runs every examination (and minimization replay) under
-    one solving tier — since the diff is against *native* ground
-    truth, a campaign per tier is exactly how tier-invariance of the
-    tiered solving stack is enforced.  ``options``
-    (:class:`repro.options.AnalysisOptions`) is the consolidated form
-    of the same knobs; set fields win over the keywords.  With
-    ``via_session=True`` every case routes through an edited resident
+    With ``via_session=True`` every case routes through an edited resident
     :class:`repro.service.session.AnalysisSession` (see
     :func:`examine_text`) — the campaign then certifies the session's
     incremental re-analysis against native ground truth.  Results
@@ -260,8 +239,6 @@ def run_campaign(
     trailing summary) when provided; minimized reproducers land in
     ``reproducer_dir``.
     """
-    if options is not None:
-        tier = options.or_keywords(tier=tier)["tier"]
     t0 = time.monotonic()
 
     def time_left() -> "Optional[float]":
@@ -305,7 +282,7 @@ def run_campaign(
             span.__enter__()
         try:
             case.status, case.divergences = examine_text(
-                text, name, matrix, plan_hook, tier,
+                text, name, matrix, plan_hook,
                 via_session=via_session,
             )
         except Exception as exc:  # analysis crash: triage as its own kind
@@ -330,7 +307,7 @@ def run_campaign(
                         shrunk: MinimizationResult = minimize_ir(
                             text,
                             _bucket_predicate(
-                                matrix, bucket, plan_hook, tier,
+                                matrix, bucket, plan_hook,
                                 via_session=via_session,
                             ),
                             max_evals=minimize_evals,
@@ -374,12 +351,9 @@ def run_campaign(
             }
         )
 
-    from repro.analysis.tiers import resolve_tier
-
     records.append(
         {
             "type": "summary",
-            "tier": resolve_tier(tier),
             "via_session": via_session,
             "cases": len(result.cases),
             "divergent": len(result.divergent),

@@ -50,23 +50,12 @@ its memo is valid only for that graph's edge set.  Opt II, which
 rewires edges on a scratch copy, builds a *fresh* engine for the
 scratch graph (see :func:`repro.core.opt2.redundant_check_elimination`)
 rather than mutating a queried one.
-
-Batched queries can fan out across worker processes
-(``query_sites(sites, jobs=N)``): check-site slices are independent,
-workers inherit the engine through ``fork`` copy-on-write, and their
-memo tables merge by plain union on join — a memoized verdict is an
-order-independent property of the graph (⊥ = an accepting path exists
-through the state, ⊤ = its backward closure is accepting-free), so two
-workers can never disagree about a state and later batches reuse every
-verdict any worker established.  Verdicts are bit-identical to the
-serial loop either way.
 """
 
 from __future__ import annotations
 
 import time
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -76,7 +65,6 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.parallel import fork_available, fork_pool, resolve_jobs
 from repro.analysis.solverstats import QueryStats
 from repro.obs.trace import TRACE
 from repro.vfg.definedness import Definedness, step_context
@@ -145,7 +133,7 @@ class DemandEngine:
 
     def __init__(
         self,
-        vfg: "VFG | Callable[[], VFG]",
+        vfg: VFG,
         context_depth: int = 1,
         resolver: str = "callstring",
         stats: Optional[QueryStats] = None,
@@ -154,35 +142,18 @@ class DemandEngine:
             raise ValueError(f"unknown resolver {resolver!r}")
         if resolver == "callstring" and context_depth < 0:
             raise ValueError("context_depth must be >= 0")
-        #: ``vfg`` may be a zero-argument thunk (the lazy tier: the
-        #: deferred static pipeline); the first query forces it.
-        if callable(vfg):
-            self._vfg: Optional[VFG] = None
-            self._vfg_thunk: Optional[Callable[[], VFG]] = vfg
-        else:
-            self._vfg = vfg
-            self._vfg_thunk = None
+        self.vfg = vfg
         self.resolver = resolver
         self.context_depth = -1 if resolver == "summary" else context_depth
         self.stats = stats or QueryStats(
             resolver=resolver,
             context_depth=self.context_depth,
-            graph_nodes=self._vfg.num_nodes if self._vfg is not None else 0,
+            graph_nodes=vfg.num_nodes,
         )
         #: state -> verdict (True = a realizable ⊥-path exists through it)
         self._memo: Dict[State, bool] = {}
         #: summary mode: reverse summary edges, built lazily once.
         self._rev_summaries: Optional[Dict[Node, List[Node]]] = None
-
-    @property
-    def vfg(self) -> VFG:
-        """The engine's graph, forcing a deferred one on first access."""
-        if self._vfg is None:
-            assert self._vfg_thunk is not None
-            self._vfg = self._vfg_thunk()
-            self._vfg_thunk = None
-            self.stats.graph_nodes = self._vfg.num_nodes
-        return self._vfg
 
     # -- public surface ------------------------------------------------
     def is_bottom(self, node: Optional[Node]) -> bool:
@@ -228,26 +199,11 @@ class DemandEngine:
             verdicts[node] = self.is_defined(node)
         return verdicts
 
-    def query_sites(
-        self, sites: Sequence[CheckSite], jobs: Optional[int] = None
-    ) -> Dict[int, bool]:
+    def query_sites(self, sites: Sequence[CheckSite]) -> Dict[int, bool]:
         """Γ per check site, keyed by instruction uid: an instruction is
-        "defined" iff every checked operand node is ⊤.
-
-        With ``jobs > 1`` (``None`` defers to the session default /
-        ``REPRO_JOBS``) the sites fan out across a fork-start worker
-        pool; each worker answers its share against the inherited memo
-        snapshot and the tables merge on join, so this engine keeps
-        (and later queries reuse) every verdict any worker proved.
-        Verdicts are identical to the serial loop by construction.
-        """
+        "defined" iff every checked operand node is ⊤."""
         sites = list(sites)
-        jobs = min(resolve_jobs(jobs), len(sites))
-        with TRACE.span("demand.query_sites", sites=len(sites), jobs=jobs):
-            if jobs > 1 and fork_available():
-                parallel = self._query_sites_parallel(sites, jobs)
-                if parallel is not None:
-                    return parallel
+        with TRACE.span("demand.query_sites", sites=len(sites)):
             verdicts: Dict[int, bool] = {}
             for site in sites:
                 ok = self.is_defined(site.node)
@@ -255,52 +211,6 @@ class DemandEngine:
                     verdicts.get(site.instr_uid, True) and ok
                 )
             return verdicts
-
-    def _query_sites_parallel(
-        self, sites: List[CheckSite], jobs: int
-    ) -> Optional[Dict[int, bool]]:
-        """Fan ``sites`` across ``jobs`` forked workers; ``None`` means
-        a pool could not be created and the caller should run serially.
-        """
-        # Force a deferred VFG (the lazy tier's thunk) in the *parent*
-        # before the pool forks: the workers then inherit the built
-        # graph copy-on-write instead of each forcing a private copy
-        # whose construction the parent never observes — the thunk must
-        # run exactly once, in this process, regardless of jobs.
-        self.vfg
-        if self.resolver == "summary":
-            # Build the reverse summaries once in the parent so every
-            # worker inherits them instead of recomputing per process.
-            self._reverse_summaries()
-        global _FORK_ENGINE
-        _FORK_ENGINE = self
-        try:
-            try:
-                pool = fork_pool(jobs)
-            except (OSError, AssertionError):
-                return None
-            # Round-robin striping spreads expensive neighbouring sites
-            # across workers; verdict order does not matter because the
-            # per-uid fold is an AND.
-            chunks = [sites[offset::jobs] for offset in range(jobs)]
-            with pool:
-                replies = pool.map(_answer_chunk, chunks)
-        finally:
-            _FORK_ENGINE = None
-        verdicts: Dict[int, bool] = {}
-        for chunk_verdicts, memo, stats, spans in replies:
-            # Union is the whole merge: verdicts are order-independent
-            # graph properties, so overlapping entries always agree.
-            self._memo.update(memo)
-            self.stats.merge(stats)
-            if TRACE.enabled and spans:
-                TRACE.adopt(spans)
-            for uid, ok in chunk_verdicts.items():
-                verdicts[uid] = verdicts.get(uid, True) and ok
-        self.stats.memo_entries = len(self._memo)
-        self.stats.parallel_jobs = max(self.stats.parallel_jobs, jobs)
-        self.stats.parallel_batches += 1
-        return verdicts
 
     def gamma(self) -> "LazyDefinedness":
         """A :class:`Definedness`-compatible lazy view over this engine."""
@@ -493,53 +403,6 @@ class DemandEngine:
         return False, expanded, len(touched), False, False
 
 
-#: Fork-inherited engine for parallel ``query_sites``: set in the
-#: parent immediately before the pool forks, read by workers from their
-#: copy-on-write heap (the engine, its VFG and its memo snapshot are
-#: never pickled).
-_FORK_ENGINE: Optional[DemandEngine] = None
-
-
-def _answer_chunk(
-    chunk: List[CheckSite],
-) -> Tuple[Dict[int, bool], Dict[State, bool], QueryStats, List[tuple]]:
-    """Worker entry point: answer one stripe of check sites.
-
-    Returns the stripe's verdicts, the memo entries this worker *added*
-    on top of the inherited snapshot, a fresh stats object covering
-    only this worker's queries (the parent merges it; reusing the
-    inherited stats would double-count the pre-fork history), and the
-    worker's finished trace spans (empty when tracing is off) for the
-    parent to :meth:`~repro.obs.trace.Tracer.adopt`.
-    """
-    engine = _FORK_ENGINE
-    assert engine is not None, "query worker started without fork context"
-    inherited = set(engine._memo)
-    engine.stats = QueryStats(
-        resolver=engine.resolver,
-        context_depth=engine.context_depth,
-        graph_nodes=engine.vfg.num_nodes,
-    )
-    if TRACE.enabled:
-        # Drop the fork-copied parent events; export only this
-        # worker's spans for the parent to stitch back in.
-        TRACE.clear()
-    verdicts: Dict[int, bool] = {}
-    with TRACE.span("demand.worker", sites=len(chunk)):
-        for site in chunk:
-            ok = engine.is_defined(site.node)
-            verdicts[site.instr_uid] = (
-                verdicts.get(site.instr_uid, True) and ok
-            )
-    fresh = {
-        state: verdict
-        for state, verdict in engine._memo.items()
-        if state not in inherited
-    }
-    spans = TRACE.export_spans() if TRACE.enabled else []
-    return verdicts, fresh, engine.stats, spans
-
-
 class LazyDefinedness(Definedness):
     """A Γ that resolves nodes on demand through a :class:`DemandEngine`.
 
@@ -584,16 +447,10 @@ def resolve_definedness_demand(
     context_depth: int = 1,
     resolver: str = "callstring",
     warm_sites: bool = True,
-    jobs: Optional[int] = None,
 ) -> LazyDefinedness:
     """A lazy Γ over a fresh engine, optionally pre-answering every
-    check site (the batched mode Opt II and ``run_usher`` use).
-
-    ``jobs`` fans the warm-up batch across worker processes (``None``
-    defers to the session default / ``REPRO_JOBS``); the verdicts are
-    identical either way.
-    """
+    check site (the batched mode Opt II and ``run_usher`` use)."""
     engine = DemandEngine(vfg, context_depth=context_depth, resolver=resolver)
     if warm_sites:
-        engine.query_sites(vfg.check_sites, jobs=jobs)
+        engine.query_sites(vfg.check_sites)
     return engine.gamma()

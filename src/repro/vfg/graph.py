@@ -13,6 +13,7 @@ context-sensitively (§3.3).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -139,14 +140,11 @@ class VFG:
 
     Nodes are interned to dense integer ids; edges live as fixed-width
     rows ``[src nid, dst nid, kind code, callsite]`` in one flat
-    ``int64`` arena (:class:`repro.analysis.bitsets.Int64Arena`), with
-    per-node adjacency as lists of row indices.  :class:`Edge` objects
-    are materialized lazily (and cached per row) only when a traversal
-    asks for them, so a million-edge graph costs four machine words per
-    edge plus its interned node objects — not a million Python tuples —
-    and the edge columns can be published through
-    ``multiprocessing.shared_memory`` verbatim (:meth:`edge_columns` /
-    :meth:`from_columns`).
+    ``int64`` array, with per-node adjacency as lists of row indices.
+    :class:`Edge` objects are materialized lazily (and cached per row)
+    only when a traversal asks for them, so a million-edge graph costs
+    four machine words per edge plus its interned node objects — not a
+    million Python tuples.
 
     ``remove_edge`` tombstones the row (kind code ``-1``) and unlinks
     it from the adjacency lists; the arena is append-only.  All public
@@ -156,14 +154,12 @@ class VFG:
     """
 
     def __init__(self, address_taken: bool = True) -> None:
-        from repro.analysis.bitsets import Int64Arena
-
         self.address_taken = address_taken
         #: node interning: object -> dense id, id -> object
         self._node_ids: Dict[Node, int] = {}
         self._node_list: List[Node] = []
         #: edge rows, _ROW words each, append-only
-        self._columns = Int64Arena()
+        self._columns = array("q")
         #: (src, dst, kind, callsite) -> row index (dedupe + removal)
         self._edge_ids: Dict[Tuple[Node, Node, str, Optional[int]], int] = {}
         #: row index -> materialized Edge (lazy)
@@ -188,7 +184,7 @@ class VFG:
     def _edge(self, eid: int) -> Edge:
         edge = self._edge_cache.get(eid)
         if edge is None:
-            words = self._columns.words
+            words = self._columns
             base = eid * _ROW
             callsite = words[base + 3]
             edge = Edge(
@@ -233,7 +229,7 @@ class VFG:
         eid = self._edge_ids.pop(key, None)
         if eid is None:
             return
-        self._columns.words[eid * _ROW + 2] = _DEAD
+        self._columns[eid * _ROW + 2] = _DEAD
         self._deps[self._node_ids[edge.dst]].remove(eid)
         self._flows[self._node_ids[edge.src]].remove(eid)
         self._edge_cache.pop(eid, None)
@@ -248,7 +244,7 @@ class VFG:
         did = self._node_ids.get(dst)
         if sid is None or did is None:
             return 0
-        words = self._columns.words
+        words = self._columns
         matches = [
             eid for eid in self._deps.get(did, ()) if words[eid * _ROW] == sid
         ]
@@ -302,36 +298,6 @@ class VFG:
         self.def_site[node] = (instr_uid, kind)
 
     # ------------------------------------------------------------------
-    def edge_columns(self):
-        """The node table and raw edge arena ``(nodes, columns)``.
-
-        ``columns`` is the append-only row arena (including tombstoned
-        rows, kind code ``-1``); publish it with
-        ``Int64Arena.to_shared_memory`` and rebuild on the other side
-        with :meth:`from_columns`.  The node table is small (interned
-        objects) and travels by pickle.
-        """
-        return list(self._node_list), self._columns
-
-    @classmethod
-    def from_columns(cls, address_taken: bool, nodes, columns) -> "VFG":
-        """Rebuild a graph from :meth:`edge_columns` output (for
-        example an arena attached from shared memory); tombstoned rows
-        are skipped."""
-        vfg = cls(address_taken)
-        for base in range(0, len(columns), _ROW):
-            code = columns[base + 2]
-            if code == _DEAD:
-                continue
-            callsite = columns[base + 3]
-            vfg.add_edge(
-                nodes[columns[base]],
-                nodes[columns[base + 1]],
-                _KIND_FROM_CODE[code],
-                None if callsite == _NO_CALLSITE else callsite,
-            )
-        return vfg
-
     def copy(self) -> "VFG":
         """A structural copy sharing node objects (for Opt II, which
         rewires edges on a scratch copy before re-resolving Γ).
@@ -340,12 +306,10 @@ class VFG:
         edge arena, two adjacency maps — instead of re-adding every
         edge through the interning path.
         """
-        from array import array
-
         clone = VFG(self.address_taken)
         clone._node_ids = dict(self._node_ids)
         clone._node_list = list(self._node_list)
-        clone._columns.words = array("q", self._columns.words)
+        clone._columns = array("q", self._columns)
         clone._edge_ids = dict(self._edge_ids)
         clone._deps = {nid: list(eids) for nid, eids in self._deps.items()}
         clone._flows = {nid: list(eids) for nid, eids in self._flows.items()}

@@ -11,12 +11,11 @@ from repro.cli import main
 from repro.obs.registry import SCHEMA
 
 #: A fast 2x2 matrix: two workloads (one generated, one corpus seed)
-#: under two configurations, single tier.
+#: under two configurations.
 SMOKE = [
     "bench",
     "--workloads", "164.gzip,seed63",
     "--configs", "tl,full",
-    "--tiers", "full",
     "--scale", "0.05",
     "--pool", "1",
     "--quiet",
@@ -26,7 +25,7 @@ SMOKE = [
 #: diff tool and the baselines key on).
 REQUIRED_FIELDS = (
     "schema", "kind", "benchmark", "seed", "factor", "cell", "workload",
-    "config", "tier", "storage", "schedule", "jobs", "scale", "status",
+    "config", "scale", "status",
     "warned_uids", "warnings", "checks", "propagations", "native_ops",
     "slowdown_percent", "pops", "facts_propagated", "elapsed", "tags",
 )
@@ -53,8 +52,7 @@ class TestMatrixRun:
             assert row["schema"] == SCHEMA
             assert row["kind"] == "bench"
             assert row["status"] == "ok"
-            assert row["tags"]["tier"] == "full"
-            assert row["tags"]["jobs"] == 1
+            assert row["cell"] == f"{row['workload']}/{row['config']}"
 
     def test_corpus_seed_rows_match_pinned_warnings(self, smoke_log):
         from repro.workloads.corpus import load_corpus
@@ -62,7 +60,7 @@ class TestMatrixRun:
         seed = next(s for s in load_corpus() if s.name == "seed63")
         by_cell = {row["cell"]: row for row in _rows(smoke_log)}
         for spec in ("tl", "full"):
-            row = by_cell[f"seed63/{spec}/full/int/wave/j1"]
+            row = by_cell[f"seed63/{spec}"]
             assert tuple(row["warned_uids"]) == seed.pinned_warnings(spec)
 
     def test_report_aggregates_the_rows(self, tmp_path, capsys):
@@ -80,13 +78,13 @@ class TestMatrixRun:
         out = tmp_path / "log.jsonl"
         assert main(SMOKE + ["--out", str(out), "--dry-run"]) == 0
         lines = capsys.readouterr().out
-        assert "164.gzip/tl/full/int/wave/j1" in lines
+        assert "164.gzip/tl" in lines
         assert not out.exists()
 
     def test_unknown_workload_exits_2(self, tmp_path, capsys):
         code = main([
             "bench", "--workloads", "nope.bogus", "--configs", "tl",
-            "--tiers", "full", "--out", str(tmp_path / "x.jsonl"),
+            "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
         assert "unknown workload" in capsys.readouterr().err
@@ -127,7 +125,6 @@ class TestBaselineGate:
             "bench",
             "--workloads", "164.gzip",  # seed63 cells disappear
             "--configs", "tl,full",
-            "--tiers", "full",
             "--scale", "0.05",
             "--pool", "1",
             "--quiet",
@@ -154,13 +151,14 @@ class TestCommittedSmokeBaseline:
             assert row["schema"] == SCHEMA
             assert row["kind"] == "bench"
             assert row["status"] == "ok"
-        # The acceptance matrix: 4 configs x 2 tiers, corpus included.
+        # The acceptance matrix: 8 workloads x 4 configs, corpus included.
         configs = {row["config"] for row in rows}
-        tiers = {row["tier"] for row in rows}
         workloads = {row["workload"] for row in rows}
         assert configs == {"tl", "tl_at", "opt_i", "full"}
-        assert tiers == {"full", "unified"}
+        assert len(rows) == len(configs) * len(workloads) == 32
         assert {"seed185", "seed44", "seed63"} <= workloads
+        for row in rows:
+            assert row["cell"] == f"{row['workload']}/{row['config']}"
 
 
 class TestPromotion:
@@ -232,7 +230,7 @@ class TestPromotion:
         assert set(dict(promoted.pinned)) == set(BASE_CONFIG_SPECS)
         # ...and it runs as a first-class bench workload.
         row = run_cell(
-            Cell("seed_candidate", "full", "full", "int", "wave", 1, 1.0),
+            Cell("seed_candidate", "full", 1.0),
             corpus_dir=sandbox_corpus,
         )
         assert row["status"] == "ok"

@@ -113,7 +113,7 @@ class TestServeParity:
         other = server.open(
             source=SOURCE,
             name="classify",
-            options=AnalysisOptions(tier="unified").as_dict(),
+            options=AnalysisOptions(demand=False).as_dict(),
         )
         assert other["digest"] != opened["digest"]
         assert server.query_sites(other["digest"]) == server.query_sites(

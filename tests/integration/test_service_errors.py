@@ -3,8 +3,8 @@
 Every error path of the live daemon, pinned down: each digest-taking
 route (``/update``, ``/query_sites``, ``/explain``, ``/stats``)
 answers the same one-line 404 on an unknown digest; a *known* digest
-with bad arguments (unknown function, missing field) is a 400;
-unknown routes are 404 on both GET and POST.  ``GET /metrics`` must
+with bad arguments (unknown function, missing field, a field of a
+removed knob) is a 400; unknown routes are 404 on both GET and POST.  ``GET /metrics`` must
 return parseable Prometheus text whose request counters reflect the
 traffic this suite just generated.
 """
@@ -52,7 +52,9 @@ def server():
         banner = proc.stdout.readline().strip()
         match = re.search(r"http://([\d.]+):(\d+)$", banner)
         assert match, f"no listening banner, got {banner!r}"
-        yield ServiceClient(f"http://{match.group(1)}:{match.group(2)}")
+        client = ServiceClient(f"http://{match.group(1)}:{match.group(2)}")
+        client.server_pid = proc.pid
+        yield client
     finally:
         proc.terminate()
         proc.wait(timeout=10)
@@ -61,6 +63,22 @@ def server():
 @pytest.fixture(scope="module")
 def opened(server):
     return server.open(source=SOURCE, name="classify")
+
+
+def _children(pid):
+    """Live child processes of ``pid``, read from ``/proc``."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Field 4 (after the parenthesized command name) is the ppid.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry.name))
+    return children
 
 
 def _expect(status, call, *args, **kwargs):
@@ -126,6 +144,26 @@ class TestKnownDigestBadInputIs400:
         message = _expect(400, server.open, source="def main( {")
         assert "\n" not in message
 
+    @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc")
+    def test_query_sites_with_jobs_is_400_and_forks_nothing(
+        self, server, opened
+    ):
+        before = _children(server.server_pid)
+        message = _expect(
+            400,
+            server._call,
+            "/query_sites",
+            {"digest": opened["digest"], "jobs": 64},
+        )
+        assert message == "unknown query_sites field(s): jobs"
+        assert _children(server.server_pid) == before == []
+
+    def test_open_with_tier_option_is_400(self, server):
+        message = _expect(
+            400, server.open, source=SOURCE, options={"tier": "full"}
+        )
+        assert message == "unknown analysis option(s): tier"
+
 
 class TestUnknownRouteIs404:
     def test_post(self, server):
@@ -187,12 +225,9 @@ def _const_edit():
     session = AnalysisSession.from_source(
         SOURCE, name="classify", options=AnalysisOptions()
     )
-    try:
-        lines = session.function_text("main").splitlines()
-        for index, line in enumerate(lines):
-            if line.rstrip().endswith(":"):
-                lines.insert(index + 1, "    %__m0 := 0")
-                break
-        return "\n".join(lines)
-    finally:
-        session.close()
+    lines = session.function_text("main").splitlines()
+    for index, line in enumerate(lines):
+        if line.rstrip().endswith(":"):
+            lines.insert(index + 1, "    %__m0 := 0")
+            break
+    return "\n".join(lines)

@@ -3,9 +3,8 @@
 The incremental contract is absolute: after any sequence of updates,
 the session's points-to sets, instrumentation plan and Γ verdicts must
 be *bit-identical* to a from-scratch ``prepare_module`` + ``run_usher``
-of the session's current module — across every solving tier, whether
-the update warm-started the solver or rebuilt, whatever fraction of
-the memo tables was carried.  The incremental machinery is allowed to
+of the session's current module — whether the update warm-started the
+solver or rebuilt, whatever fraction of the memo tables was carried.  The incremental machinery is allowed to
 be faster, never allowed to be different.
 """
 
@@ -17,8 +16,6 @@ from repro.core import prepare_module, run_usher
 from repro.options import AnalysisOptions
 from repro.service import AnalysisSession, plan_signature
 from repro.workloads import GeneratorParams, generate_program
-
-TIERS = ["full", "lazy", "unified"]
 
 PROGRAM = """
 def leaf(p) {
@@ -58,9 +55,9 @@ def _const_edit(session, fname):
     return "\n".join(lines)
 
 
-def _cold_oracle(session, tier):
+def _cold_oracle(session):
     """From-scratch analysis of the session's current module."""
-    prepared = prepare_module(copy.deepcopy(session.pristine), tier=tier)
+    prepared = prepare_module(copy.deepcopy(session.pristine))
     result = run_usher(prepared, session.config)
     verdicts = {}
     for site in result.vfg.check_sites:
@@ -69,50 +66,45 @@ def _cold_oracle(session, tier):
     return prepared, result, verdicts
 
 
-def _assert_bit_identical(session, tier):
-    cold_prep, cold, cold_verdicts = _cold_oracle(session, tier)
+def _assert_bit_identical(session):
+    cold_prep, cold, cold_verdicts = _cold_oracle(session)
     assert session.pointers.pts == cold_prep.pointers.pts
     assert plan_signature(session.plan) == plan_signature(cold.plan)
     assert session.query_sites() == cold_verdicts
 
 
-class TestBitIdentityAcrossTiers:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_initial_and_per_function_edits(self, tier):
-        session = AnalysisSession.from_source(
-            PROGRAM, name="prog", options=AnalysisOptions(tier=tier)
-        )
-        _assert_bit_identical(session, tier)
+class TestBitIdentity:
+    def test_initial_and_per_function_edits(self):
+        session = AnalysisSession.from_source(PROGRAM, name="prog")
+        _assert_bit_identical(session)
         for fname in session.function_names():
             stats = session.update(fname, _const_edit(session, fname))
             assert stats.function == fname
             assert stats.generation == session.generation
-            _assert_bit_identical(session, tier)
+            _assert_bit_identical(session)
 
     def test_non_opt2_config(self):
         session = AnalysisSession.from_source(
             PROGRAM,
             name="prog",
-            options=AnalysisOptions(tier="full", config="usher_tl"),
+            options=AnalysisOptions(config="usher_tl"),
         )
-        _assert_bit_identical(session, "full")
+        _assert_bit_identical(session)
         session.update("classify", _const_edit(session, "classify"))
-        _assert_bit_identical(session, "full")
+        _assert_bit_identical(session)
 
     def test_identity_update_is_warm(self):
         session = AnalysisSession.from_source(PROGRAM, name="prog")
         stats = session.update("leaf", session.function_text("leaf"))
         assert stats.mode == "warm"
         assert stats.dirty_nodes == 0
-        _assert_bit_identical(session, "full")
+        _assert_bit_identical(session)
 
 
 class TestIncrementalityBounds:
     def test_single_function_edit_on_factor8_corpus(self):
         source = generate_program(11, GeneratorParams().scaled(8))
-        session = AnalysisSession.from_source(
-            source, name="gen11", options=AnalysisOptions(tier="full")
-        )
+        session = AnalysisSession.from_source(source, name="gen11")
         target = session.function_names()[0]
         stats = session.update(target, _const_edit(session, target))
         assert stats.mode == "warm", "a const append must warm-start"
@@ -124,7 +116,7 @@ class TestIncrementalityBounds:
         assert stats.memos_carried > 0, (
             "clean-bucket demand memos must survive the update"
         )
-        _assert_bit_identical(session, "full")
+        _assert_bit_identical(session)
 
 
 class TestUpdateValidation:

@@ -9,6 +9,7 @@ from repro.api import (
     EXTENDED_CONFIG_ORDER,
     analyze,
 )
+from repro.options import AnalysisOptions
 from repro.runtime import CostModel, DynamicEvents, ExecutionReport
 from repro.tinyc import compile_source
 
@@ -83,7 +84,9 @@ class TestAnalysisAPI:
 
     def test_demand_mode_produces_identical_plans(self):
         eager = analyze(source=BUGGY_SOURCE)
-        lazy = analyze(source=BUGGY_SOURCE, demand=True)
+        lazy = analyze(
+            source=BUGGY_SOURCE, options=AnalysisOptions(demand=True)
+        )
         for config in eager.plans:
             assert (
                 eager.plans[config].count_propagations()
@@ -145,7 +148,9 @@ class TestDemandQueries:
 
     def test_summary_resolver_still_explains(self):
         analysis = analyze(
-            source=BUGGY_SOURCE, configs=["usher_tl_at"], resolver="summary"
+            source=BUGGY_SOURCE,
+            configs=["usher_tl_at"],
+            options=AnalysisOptions(resolver="summary"),
         )
         result = analysis.results["usher_tl_at"]
         bottom = next(

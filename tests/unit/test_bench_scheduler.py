@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from repro.analysis.parallel import fork_available
 from repro.bench import matrix as matrix_mod
 from repro.bench import scheduler
 from repro.bench.matrix import BenchSpecError, Cell, MatrixSpec
@@ -27,10 +26,6 @@ def _cell(workload="164.gzip", config="tl", **overrides):
     fields = dict(
         workload=workload,
         config=config,
-        tier="full",
-        storage="int",
-        schedule="wave",
-        jobs=1,
         scale=0.05,
     )
     fields.update(overrides)
@@ -57,7 +52,7 @@ class TestRunCell:
     def test_measures_one_cell(self):
         row = run_cell(_cell())
         assert row["status"] == "ok"
-        assert row["cell"] == "164.gzip/tl/full/int/wave/j1"
+        assert row["cell"] == "164.gzip/tl"
         assert row["warned_uids"] == []
         assert row["checks"] > 0
         assert row["propagations"] > 0
@@ -73,23 +68,12 @@ class TestRunCell:
             assert row["status"] == "ok"
             assert tuple(row["warned_uids"]) == seed.pinned_warnings(spec)
 
-    def test_results_identical_across_tiers(self):
-        rows = {
-            tier: run_cell(_cell(tier=tier))
-            for tier in ("full", "unified", "lazy")
-        }
-        baseline = rows["full"]
-        for tier, row in rows.items():
-            assert row["warned_uids"] == baseline["warned_uids"], tier
-            assert row["checks"] == baseline["checks"], tier
-            assert row["propagations"] == baseline["propagations"], tier
-
     def test_error_row_shape(self):
         row = error_row(_cell(), "boom", elapsed=1.5)
         assert row["status"] == "error"
         assert row["error"] == "boom"
         assert row["elapsed"] == 1.5
-        assert row["cell"] == "164.gzip/tl/full/int/wave/j1"
+        assert row["cell"] == "164.gzip/tl"
 
 
 class TestCrashIsolation:
@@ -109,25 +93,25 @@ class TestCrashIsolation:
     def test_serial_run_survives_a_raising_cell(self, explosive):
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full", "opt_i"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         rows = run_matrix(cells, pool=1)
         assert [row["status"] for row in rows] == ["ok", "error", "ok"]
         failed = rows[1]
         assert "injected cell crash" in failed["error"]
-        assert failed["cell"] == "164.gzip/full/full/int/wave/j1"
+        assert failed["cell"] == "164.gzip/full"
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.skipif(not scheduler.fork_available(), reason="needs fork")
     def test_pooled_run_survives_a_raising_cell(self, explosive):
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full", "opt_i"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         rows = run_matrix(cells, pool=2, timeout=60)
         assert [row["status"] for row in rows] == ["ok", "error", "ok"]
         assert "injected cell crash" in rows[1]["error"]
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.skipif(not scheduler.fork_available(), reason="needs fork")
     def test_pooled_run_survives_a_dying_worker(self, monkeypatch):
         # A worker that exits without sending anything (segfault stand-in).
         real = run_cell
@@ -142,7 +126,7 @@ class TestCrashIsolation:
         monkeypatch.setattr(scheduler, "run_cell", patched)
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         rows = run_matrix(cells, pool=2, timeout=60)
         assert rows[0]["status"] == "ok"
@@ -151,7 +135,7 @@ class TestCrashIsolation:
         # reaped exit code; both are crash reports, not hangs.
         assert "worker" in rows[1]["error"]
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.skipif(not scheduler.fork_available(), reason="needs fork")
     def test_pooled_run_times_out_a_wedged_cell(self, monkeypatch):
         real = run_cell
 
@@ -163,7 +147,7 @@ class TestCrashIsolation:
         monkeypatch.setattr(scheduler, "run_cell", patched)
         cells = MatrixSpec(
             workloads=("164.gzip",), configs=("tl", "full"),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         started = time.monotonic()
         rows = run_matrix(cells, pool=2, timeout=1.0)
@@ -179,11 +163,11 @@ class TestCrashIsolation:
 
 
 class TestRowsMatchAcrossExecutionModes:
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    @pytest.mark.skipif(not scheduler.fork_available(), reason="needs fork")
     def test_serial_and_pooled_rows_agree_on_counters(self):
         cells = MatrixSpec(
             workloads=("164.gzip", "seed63"), configs=("tl",),
-            tiers=("full",), scale=0.05,
+            scale=0.05,
         ).expand()
         serial = run_matrix(cells, pool=1)
         pooled = run_matrix(cells, pool=2, timeout=60)

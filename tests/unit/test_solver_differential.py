@@ -4,10 +4,12 @@ The :class:`~repro.analysis.andersen.DeltaSolver` (difference
 propagation + online cycle elimination over interned bitsets) must
 produce bit-for-bit identical results to the naive
 :class:`~repro.analysis.andersen.ReferenceSolver` on every input:
-identical points-to sets, call targets and detected allocation
-wrappers.  The corpus is the bundled SPEC-shaped workloads plus a
-spread of generated programs, including the pointer-heavy variant
-whose hub cells and copy cycles exercise SCC collapsing.
+identical points-to sets, call targets, detected allocation wrappers
+and per-allocation object lists (in order — plan construction and
+clone bookkeeping consume that order).  The corpus is the 19 bundled
+SPEC-shaped workloads plus a spread of generated programs, including
+the pointer-heavy variant whose hub cells and copy cycles exercise
+wave scheduling and SCC collapsing.
 """
 
 import pytest
@@ -15,18 +17,19 @@ import pytest
 from repro.analysis import analyze_pointers
 from repro.opt import run_pipeline
 from repro.tinyc import compile_source
-from repro.workloads import WORKLOADS
+from repro.workloads import ALL_WORKLOADS
 from repro.workloads.generator import GeneratorParams, generate_program
 
-WORKLOADS_BY_NAME = {w.name: w for w in WORKLOADS}
+WORKLOADS_BY_NAME = {w.name: w for w in ALL_WORKLOADS}
 
 
 def _normalize(result):
-    """Hashable snapshot of everything both solvers must agree on."""
+    """Snapshot of everything both solvers must agree on."""
     return (
         {node: frozenset(locs) for node, locs in result.pts.items()},
         {uid: frozenset(t) for uid, t in result.call_targets.items()},
         frozenset(result.wrappers),
+        {uid: tuple(objs) for uid, objs in result.alloc_objects.items()},
     )
 
 
@@ -66,6 +69,8 @@ def test_generated_scaled_heavy_solvers_agree():
     stats = delta.solver_stats
     assert stats.sccs_collapsed > 0
     assert stats.scc_nodes_merged >= stats.sccs_collapsed
+    assert stats.waves > 0
+    assert stats.peak_wave_width > 0
     # The whole point of difference propagation: the delta solver's
     # propagation volume stays near its insertion volume while the
     # reference re-offers full sets on every pop.

@@ -22,7 +22,7 @@ class TestStatsRegistry:
     def test_generic_record_shape(self):
         registry = StatsRegistry()
         registry.record(
-            "solver", "solve", {"pops": 3}, wall_s={"solve": 0.1}, tier="full"
+            "solver", "solve", {"pops": 3}, wall_s={"solve": 0.1}, config="usher"
         )
         (row,) = registry.rows()
         assert row == {
@@ -31,7 +31,7 @@ class TestStatsRegistry:
             "phase": "solve",
             "counters": {"pops": 3},
             "wall_s": {"solve": 0.1},
-            "tags": {"tier": "full"},
+            "tags": {"config": "usher"},
         }
 
     def test_solver_adapter_promotes_phase_seconds(self):
@@ -44,12 +44,12 @@ class TestStatsRegistry:
                     "phase_seconds": {"solve": 0.4, "constraints": 0.1},
                 }
             ),
-            tier="lazy",
+            config="usher_tl",
         )
         (row,) = registry.rows(stat="solver")
         assert row["wall_s"] == {"solve": 0.4, "constraints": 0.1}
         assert row["counters"] == {"pops": 7}  # elapsed/walls hoisted out
-        assert row["tags"] == {"tier": "lazy"}
+        assert row["tags"] == {"config": "usher_tl"}
 
     def test_update_adapter_carries_wall(self):
         registry = StatsRegistry()
@@ -125,23 +125,23 @@ class TestWriteStatsRow:
             11,
             4,
             elapsed=1.23456789,
-            stats=FakeStats({"pops": 9, "tier": "from-stats"}),
+            stats=FakeStats({"pops": 9, "mode": "from-stats"}),
             solver="delta",
-            tier="full",
+            mode="warm",
         )
         assert row["schema"] == SCHEMA
         assert row["benchmark"] == "solver_scalability"
         assert row["elapsed"] == 1.234568
         assert row["pops"] == 9  # stats spread flat at top level
-        assert row["tier"] == "full"  # explicit extra wins over stats
-        assert row["tags"] == {"tier": "full"}
+        assert row["mode"] == "warm"  # explicit extra wins over stats
+        assert row["tags"] == {"mode": "warm"}
         on_disk = json.loads(path.read_text())
         assert on_disk == json.loads(json.dumps(row))
 
     def test_stats_and_elapsed_optional(self, tmp_path):
         path = tmp_path / "service_stats.jsonl"
         row = write_stats_row(
-            path, "service_query_batches", 11, 16, jobs=4, resident_seconds=0.1
+            path, "service_warm_engine", 11, 16, opt="usher", warm_seconds=0.1
         )
         assert "elapsed" not in row
-        assert row["tags"] == {"jobs": 4}
+        assert row["tags"] == {"opt": "usher"}

@@ -26,7 +26,7 @@ def make_tracer() -> Tracer:
 class TestSpanBasics:
     def test_nesting_records_parent_links(self):
         tracer = make_tracer()
-        with tracer.span("outer", tier="full"):
+        with tracer.span("outer", config="usher"):
             with tracer.span("inner"):
                 pass
             with tracer.span("sibling"):
@@ -36,7 +36,7 @@ class TestSpanBasics:
         assert tracer.events[0].parent == -1
         assert tracer.events[1].parent == 0
         assert tracer.events[2].parent == 0
-        assert tracer.events[0].tags == {"tier": "full"}
+        assert tracer.events[0].tags == {"config": "usher"}
 
     def test_mid_span_tagging(self):
         tracer = make_tracer()
@@ -110,7 +110,7 @@ class TestDisabledMode:
     def test_span_returns_shared_noop_singleton(self):
         tracer = Tracer()
         assert tracer.span("a") is NOOP_SPAN
-        assert tracer.span("b", tier="full") is NOOP_SPAN
+        assert tracer.span("b", config="usher") is NOOP_SPAN
         with tracer.span("c") as span:
             assert span is NOOP_SPAN
             span.tag(anything=1)
@@ -129,7 +129,7 @@ class TestDisabledMode:
         try:
             before, _ = tracemalloc.get_traced_memory()
             for _ in range(1000):
-                with tracer.span("hot", tier="full"):
+                with tracer.span("hot", config="usher"):
                     pass
             after, _ = tracemalloc.get_traced_memory()
         finally:
@@ -231,7 +231,7 @@ class TestExportAdopt:
 class TestChromeTrace:
     def _tracer_with_spans(self):
         tracer = make_tracer()
-        with tracer.span("root", tier="full"):
+        with tracer.span("root", config="usher"):
             with tracer.span("leaf"):
                 pass
         return tracer
@@ -319,57 +319,3 @@ class TestValidateChromeTrace:
         payload = json.dumps({"traceEvents": []})
         assert validate_chrome_trace(payload) == 0
         assert validate_chrome_trace(payload.encode()) == 0
-
-
-class TestResidentPoolStitching:
-    SOURCE = """
-def pick(v) {
-  var bin;
-  if (v < 5) { bin = 0; }
-  return bin;
-}
-def main() {
-  var b = pick(9);
-  output(b);
-  return 0;
-}
-"""
-
-    def test_pool_worker_spans_graft_under_parent(self):
-        from repro.analysis.parallel import fork_available
-
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        from repro.core import UsherConfig, run_usher
-        from repro.service.pool import ResidentPool
-        from repro.vfg.demand import DemandEngine
-        from tests.helpers import analyzed
-
-        prepared = analyzed(self.SOURCE)
-        vfg = run_usher(prepared, UsherConfig.tl_at()).vfg
-        assert vfg.check_sites
-        engine = DemandEngine(vfg, context_depth=1)
-        with TRACE.capture():
-            with TRACE.span("batch") as _batch:
-                pool = ResidentPool(2, engine=engine)
-                pool.start()
-                try:
-                    verdicts = pool.query_sites(
-                        list(range(len(vfg.check_sites)))
-                    )
-                finally:
-                    pool.shutdown()
-            assert verdicts is not None
-        events = TRACE.events
-        TRACE.clear()
-        pool_spans = [e for e in events if e.name == "pool.query"]
-        assert pool_spans, "worker spans did not come back over the pipe"
-        batch_index = [e.name for e in events].index("batch")
-        parent_pid = os.getpid()
-        for span in pool_spans:
-            assert span.pid != parent_pid  # recorded in the fork
-            assert span.parent == batch_index  # grafted under "batch"
-            # One shared monotonic clock: the worker span sits inside
-            # the parent's batch interval.
-            assert events[batch_index].start <= span.start
-            assert span.end <= events[batch_index].end

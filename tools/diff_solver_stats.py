@@ -5,14 +5,23 @@
 to ``benchmarks/results/solver_stats.jsonl``, and
 ``benchmarks/test_demand_queries.py`` does the same per demand-query
 batch to ``benchmarks/results/query_stats.jsonl``.  This tool groups a
-log by workload key — ``(benchmark, seed, factor, solver, tier,
-storage)`` for solver records, ``(benchmark, seed, factor, resolver)`` for query
-records (auto-detected per line: query records carry a ``resolver``
-field; solver records written before the tiered solving stack default
-to tier ``full``) — and compares the most recent entry of each group
-against the one before it: if the same workload suddenly does more than
+log by workload key — ``(benchmark, seed, factor, solver)`` for solver
+records, ``(benchmark, seed, factor, resolver)`` for query records
+(auto-detected per line: query records carry a ``resolver`` field) —
+and compares the most recent entry of each group against the one
+before it: if the same workload suddenly does more than
 ``--max-ratio`` times the work, a performance regression slipped in and
 the gate fails.
+
+The analysis has one configuration.  Older rows carry the axes of
+since-removed alternatives (``tier``, ``storage``, ``schedule``,
+``jobs``); a row measured on a non-default value of one of them
+(``tier`` other than ``full``, ``compressed`` storage, the ``fifo``
+schedule of the delta solver, ``jobs`` above 1) describes a path that
+no longer exists and is skipped, while a row on the defaults joins the
+history of its workload.  Legacy bench cells named
+``workload/config/tier/storage/schedule/jN`` are keyed as
+``workload/config`` the same way.
 
 Rows stamped ``"schema": "repro.stats/1"`` (everything the unified
 writer :func:`repro.obs.registry.write_stats_row` emits) additionally
@@ -31,20 +40,16 @@ noisy):
   memory profile when recorded — points-to representation bytes
   (``bytes_pts``) and ``peak_rss`` (rows written before the memory
   counters existed simply lack the fields and are skipped);
-- ``solver_tier_*`` benchmark rows additionally gate ``unified_nodes``
-  in the *inverted* direction — the Steensgaard pre-collapse merging
-  ``--max-ratio`` times *fewer* nodes than last run means the unified
-  tier quietly stopped pre-collapsing (its whole point), which the
-  ``pops`` gate alone would take one extra run to notice;
 - query records: ``peak_visited_fraction`` (largest single-query share
   of the VFG visited) and ``states_per_query`` (derived:
   ``states_visited / queries``);
 - service records (``benchmarks/test_service.py`` →
   ``benchmarks/results/service_stats.jsonl``, detected by their
-  ``resident_seconds`` field) are gated *within* the newest entry:
-  the resident worker pool's batched ``query_sites`` must beat the
-  serial path (``resident_seconds < serial_seconds``), or the pool
-  lost its point;
+  ``warm_seconds`` field) are gated *within* the newest entry: a
+  batch answered by a warm demand engine, whose memo survives from
+  earlier batches, must beat a batch answered by a cold one
+  (``warm_seconds < cold_seconds``), or memo residency lost its
+  point;
 - bench records (``repro bench`` →
   ``benchmarks/results/bench_stats.jsonl``, stamped ``"kind":
   "bench"``, grouped by their ``cell`` name) gate ``status``,
@@ -88,10 +93,6 @@ QUERY_METRICS = ("peak_visited_fraction", "states_per_query")
 #: deterministic; ``peak_rss`` is close enough — a >2x RSS jump on the
 #: same workload is a leak or a representation regression, not noise).
 MEM_METRICS = ("bytes_pts", "peak_rss")
-
-#: Counters where *shrinking* is the regression (gated only on
-#: ``solver_tier_*`` benchmark rows, where the pre-collapse runs).
-TIER_INVERTED_METRICS = ("unified_nodes",)
 
 #: Bench-cell fields gated for exact equality (deterministic detection
 #: results and static instrumentation), and for the work ratio.
@@ -163,13 +164,31 @@ def check_wall(
 
 def record_kind(record: dict) -> str:
     """``"bench"`` for ``repro bench`` cell rows (explicitly stamped),
-    ``"service"`` for resident-pool benchmark records, ``"query"`` for
-    demand-query records, ``"solver"`` otherwise."""
+    ``"service"`` for service benchmark records (including the legacy
+    resident-pool ones), ``"query"`` for demand-query records,
+    ``"solver"`` otherwise."""
     if record.get("kind") == "bench":
         return "bench"
-    if "resident_seconds" in record:
+    if "warm_seconds" in record or "resident_seconds" in record:
         return "service"
     return "query" if "resolver" in record else "solver"
+
+
+def removed_alternative(record: dict) -> bool:
+    """Whether ``record`` measured a since-removed alternative: a
+    non-default ``tier`` / ``storage`` / ``jobs``, the delta solver's
+    ``fifo`` schedule, or the resident worker pool."""
+    jobs = record.get("jobs", 1)
+    return (
+        record.get("tier", "full") != "full"
+        or record.get("storage", "int") != "int"
+        or (isinstance(jobs, int) and jobs > 1)
+        or (
+            record.get("schedule") == "fifo"
+            and record.get("solver", "delta") == "delta"
+        )
+        or "resident_seconds" in record
+    )
 
 
 def load_groups(path: Path, kind: str = "auto") -> Dict[GroupKey, List[dict]]:
@@ -178,6 +197,8 @@ def load_groups(path: Path, kind: str = "auto") -> Dict[GroupKey, List[dict]]:
     ``kind`` restricts to ``"solver"`` or ``"query"`` records;
     ``"auto"`` keeps both (each grouped by its own key shape).
     Query records get the derived ``states_per_query`` counter added.
+    Rows of removed alternatives (:func:`removed_alternative`) are
+    skipped.
     """
     groups: Dict[GroupKey, List[dict]] = {}
     with path.open() as handle:
@@ -192,8 +213,13 @@ def load_groups(path: Path, kind: str = "auto") -> Dict[GroupKey, List[dict]]:
             this_kind = record_kind(record)
             if kind != "auto" and this_kind != kind:
                 continue
+            if removed_alternative(record):
+                continue
             if this_kind == "bench":
-                key: GroupKey = (this_kind, record.get("cell"))
+                cell = record.get("cell")
+                if "tier" in record:  # legacy workload/config/axes... name
+                    cell = f"{record.get('workload')}/{record.get('config')}"
+                key: GroupKey = (this_kind, cell)
                 groups.setdefault(key, []).append(record)
                 continue
             if this_kind == "service":
@@ -202,7 +228,6 @@ def load_groups(path: Path, kind: str = "auto") -> Dict[GroupKey, List[dict]]:
                     record.get("benchmark"),
                     record.get("seed"),
                     record.get("factor"),
-                    record.get("jobs"),
                 )
                 groups.setdefault(key, []).append(record)
                 continue
@@ -229,8 +254,6 @@ def load_groups(path: Path, kind: str = "auto") -> Dict[GroupKey, List[dict]]:
                     record.get("seed"),
                     record.get("factor"),
                     record.get("solver"),
-                    record.get("tier", "full"),
-                    record.get("storage", "int"),
                 )
             groups.setdefault(key, []).append(record)
     return groups
@@ -244,8 +267,8 @@ def check_group(
     wall_floor: float = WALL_FLOOR_SECONDS,
 ) -> List[str]:
     """Compare the newest entry against its predecessor (service
-    records instead gate *within* their newest entry: the resident
-    pool must beat the serial path, or the pool lost its point).
+    records instead gate *within* their newest entry: the warm engine
+    must beat the cold one, or memo residency lost its point).
     ``wall_ratio``, when given, additionally wall-gates schema-stamped
     rows via :func:`check_wall`."""
     if key[0] == "bench":
@@ -279,16 +302,16 @@ def check_group(
     if key[0] == "service":
         latest = history[-1]
         label = "/".join(str(part) for part in key[1:])
-        resident = latest.get("resident_seconds")
-        serial = latest.get("serial_seconds")
-        if not isinstance(resident, (int, float)) or not isinstance(
-            serial, (int, float)
+        warm = latest.get("warm_seconds")
+        cold = latest.get("cold_seconds")
+        if not isinstance(warm, (int, float)) or not isinstance(
+            cold, (int, float)
         ):
-            return [f"{label}: service record lacks resident/serial timings"]
-        if resident >= serial:
+            return [f"{label}: service record lacks warm/cold timings"]
+        if warm >= cold:
             return [
-                f"{label}: resident pool ({resident:.4f}s) did not beat "
-                f"serial ({serial:.4f}s) — the pool lost to the fallback"
+                f"{label}: warm engine ({warm:.4f}s) did not beat a cold "
+                f"one ({cold:.4f}s) — memo residency lost its point"
             ]
         return []
     if len(history) < 2:
@@ -320,26 +343,6 @@ def check_group(
                 f"{label}: {metric} regressed {before} -> {after} "
                 f"({ratio:.2f}x > {max_ratio:.2f}x allowed)"
             )
-    benchmark = key[1] if len(key) > 1 else None
-    if key[0] == "solver" and isinstance(benchmark, str) and benchmark.startswith(
-        "solver_tier"
-    ):
-        for metric in TIER_INVERTED_METRICS:
-            before = previous.get(metric)
-            after = latest.get(metric)
-            if not isinstance(before, (int, float)) or not isinstance(
-                after, (int, float)
-            ):
-                continue
-            if before <= 0:
-                continue
-            drop = before / after if after > 0 else float("inf")
-            if drop > max_ratio:
-                problems.append(
-                    f"{label}: {metric} collapsed {before} -> {after} "
-                    f"({drop:.2f}x shrink > {max_ratio:.2f}x allowed — "
-                    "the pre-collapse stopped unifying)"
-                )
     return problems
 
 
