@@ -2,8 +2,10 @@
 
 ``REPRO_SCALE`` (default 0.5) scales every workload's "reference input"
 — 1.0 reproduces the full-size experiments, smaller values keep CI
-fast.  All figure/table data is cached per scale so the pytest-benchmark
-timings measure one well-defined piece of work each.
+fast.  The paper's figures come from ``repro bench`` rows (one per
+workload × configuration cell, :func:`repro.bench.run_cell`); each
+matrix runs once per session so the pytest-benchmark timings measure
+one well-defined piece of work each.
 """
 
 import os
@@ -33,15 +35,36 @@ def scale():
     return SCALE
 
 
-@pytest.fixture(scope="session")
-def figure10(scale):
-    from repro.harness import build_figure10
-
-    return build_figure10(scale=scale)
+#: MSan and the paper's four Usher configurations.
+PAPER_CONFIGS = ("msan", "tl", "tl_at", "opt_i", "full")
 
 
 @pytest.fixture(scope="session")
-def figure11(scale):
-    from repro.harness import build_figure11
+def bench_rows(scale):
+    """``bench_rows(level, configs)``: the bench rows of the 15
+    SPEC2000-shaped workloads at ``scale``, run once per session."""
+    from repro.bench import MatrixSpec, run_matrix
+    from repro.workloads import WORKLOADS
 
-    return build_figure11(scale=scale)
+    cache = {}
+
+    def rows(level="O0+IM", configs=PAPER_CONFIGS):
+        key = (level, tuple(configs))
+        if key not in cache:
+            spec = MatrixSpec(
+                workloads=[w.name for w in WORKLOADS],
+                configs=configs,
+                scale=scale,
+                level=level,
+            )
+            cache[key] = run_matrix(spec.expand())
+            assert all(row["status"] == "ok" for row in cache[key])
+        return cache[key]
+
+    return rows
+
+
+@pytest.fixture(scope="session")
+def paper_rows(bench_rows):
+    """The O0+IM paper matrix: Figures 10/11 and Table 1."""
+    return bench_rows()

@@ -7,18 +7,68 @@ configuration's static instrumentation (propagations, checks): smaller
 is better, so disabling a feature must never *reduce* it.
 """
 
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
+
 import pytest
 
-from repro.harness import build_ablation, format_ablation
+from repro.api import analyze
+from repro.options import AnalysisOptions
+from repro.workloads import workload
 
 ABLATION_WORKLOADS = ("181.mcf", "188.ammp", "300.twolf", "254.gap")
+
+#: Each variant's ``analyze()`` arguments: semi-strong updates off,
+#: context depth 0 and 2 (the paper uses 1), the fully
+#: context-sensitive summary resolver, and heap cloning off.
+VARIANTS = {
+    "baseline": {},
+    "no_semi_strong": {"semi_strong": False},
+    "ctx0": {"options": AnalysisOptions(context_depth=0)},
+    "ctx2": {"options": AnalysisOptions(context_depth=2)},
+    "summary": {"options": AnalysisOptions(resolver="summary")},
+    "no_heap_cloning": {"heap_cloning": False},
+}
+
+
+@dataclass
+class AblationRow:
+    benchmark: str
+    #: variant -> (static propagations, static checks) of full Usher
+    metrics: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+
+
+def analyze_variant(source: str, name: str, variant: str):
+    return analyze(
+        source=source, name=name, configs=["usher"], **VARIANTS[variant]
+    )
+
+
+def format_ablation(rows) -> str:
+    header = f"{'benchmark':14s}" + "".join(f"{v:>22s}" for v in VARIANTS)
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        cells = "".join(
+            f"{p:>14d}p/{c:>4d}c" for p, c in (row.metrics[v] for v in VARIANTS)
+        )
+        lines.append(f"{row.benchmark:14s}{cells}")
+    return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
 def rows(scale):
-    return build_ablation(
-        scale=min(scale, 0.3), workload_names=ABLATION_WORKLOADS
-    )
+    rows = []
+    for name in ABLATION_WORKLOADS:
+        source = workload(name).source(min(scale, 0.3))
+        row = AblationRow(benchmark=name)
+        for variant in VARIANTS:
+            analysis = analyze_variant(source, name, variant)
+            row.metrics[variant] = (
+                analysis.static_propagations("usher"),
+                analysis.static_checks("usher"),
+            )
+        rows.append(row)
+    return rows
 
 
 class TestAblations:
@@ -89,9 +139,8 @@ class TestAblationBenchmarks:
         print(text)
 
     def test_one_variant_analysis(self, benchmark):
-        from repro.harness.ablation import _analyze
-        from repro.workloads import workload
-
         source = workload("300.twolf").source(0.2)
-        result = benchmark(_analyze, source, "300.twolf", "no_semi_strong")
+        result = benchmark(
+            analyze_variant, source, "300.twolf", "no_semi_strong"
+        )
         assert result.static_checks("usher") >= 0

@@ -9,74 +9,79 @@ and the 197.parser bug detected by every tool.
 import pytest
 
 from repro.api import CONFIG_ORDER, analyze
-from repro.harness import format_figure10
+from repro.bench.report import (
+    average_slowdowns,
+    figure10,
+    format_figure10,
+    msan_reduction,
+)
 from repro.runtime import run_instrumented
 from repro.workloads import workload
 
+#: Figure 10's columns, MSan first, in the paper's order.
+TOOLS = ("msan", "tl", "tl_at", "opt_i", "full")
+
 
 @pytest.fixture(scope="module")
-def printed(figure10):
+def printed(paper_rows):
     print()
     print("=== Figure 10 (reproduced): slowdown vs native, % ===")
-    print(format_figure10(figure10))
-    return figure10
+    print("\n".join(format_figure10(paper_rows, "O0+IM")))
+    return figure10(paper_rows)
+
+
+@pytest.fixture(scope="module")
+def averages(paper_rows):
+    return average_slowdowns(paper_rows)
 
 
 class TestFigure10Shape:
     def test_strict_ordering_per_benchmark(self, printed):
-        for row in printed.rows:
-            s = row.slowdowns
-            assert s["msan"] >= s["usher_tl"] >= s["usher_tl_at"]
-            assert s["usher_tl_at"] >= s["usher_opt1"] >= s["usher"]
+        for slowdowns in printed.values():
+            values = [slowdowns[tool] for tool in TOOLS]
+            assert values == sorted(values, reverse=True)
 
-    def test_average_ordering(self, printed):
-        avg = printed.averages()
+    def test_average_ordering(self, averages):
         assert (
-            avg["msan"]
-            > avg["usher_tl"]
-            > avg["usher_tl_at"]
-            > avg["usher_opt1"]
-            >= avg["usher"]
+            averages["msan"]
+            > averages["tl"]
+            > averages["tl_at"]
+            > averages["opt_i"]
+            >= averages["full"]
         )
 
-    def test_msan_is_in_3x_regime(self, printed):
+    def test_msan_is_in_3x_regime(self, averages):
         """Paper: 302% average slowdown for MSan under O0+IM."""
-        assert 200 < printed.average("msan") < 400
+        assert 200 < averages["msan"] < 400
 
-    def test_usher_cuts_overhead_by_more_than_half(self, printed):
+    def test_usher_cuts_overhead_by_more_than_half(self, averages):
         """Paper: 302% → 123%, a 59.3% reduction."""
-        reduction = 1 - printed.average("usher") / printed.average("msan")
-        assert reduction > 0.5
+        assert msan_reduction(averages) > 50
 
     def test_mcf_nearly_free(self, printed):
         """Paper: 181.mcf suffers only a 2% slowdown."""
-        assert printed.row("181.mcf").slowdowns["usher"] < 10
+        assert printed["181.mcf"]["full"] < 10
 
-    def test_parser_bug_detected_by_all_tools(self, printed):
-        row = printed.row("197.parser")
-        assert row.true_bugs >= 1
-        assert all(count >= 1 for count in row.warnings.values())
+    def test_parser_bug_detected_by_all_tools(self, paper_rows):
+        parser = [r for r in paper_rows if r["workload"] == "197.parser"]
+        assert len(parser) == len(TOOLS)
+        for row in parser:
+            assert len(row["true_bug_uids"]) >= 1
+            assert row["warnings"] >= 1, row["config"]
 
-    def test_other_benchmarks_warning_free(self, printed):
-        for row in printed.rows:
-            if row.benchmark == "197.parser":
-                continue
-            assert sum(row.warnings.values()) == 0, row.benchmark
+    def test_other_benchmarks_warning_free(self, paper_rows):
+        for row in paper_rows:
+            if row["workload"] != "197.parser":
+                assert row["warnings"] == 0, row["cell"]
 
 
 class TestFigure10Benchmarks:
-    def test_figure_regeneration(self, benchmark, figure10, record_table):
-        """Times one full re-derivation of the figure from the cached
-        analyses and prints the reproduced figure."""
-
-        def regenerate():
-            return {
-                row.benchmark: row.slowdowns for row in figure10.rows
-            }
-
-        data = benchmark(regenerate)
+    def test_figure_regeneration(self, benchmark, paper_rows, record_table):
+        """Times one full re-derivation of the figure from the rows and
+        prints the reproduced figure."""
+        data = benchmark(figure10, paper_rows)
         assert len(data) == 15
-        text = format_figure10(figure10)
+        text = "\n".join(format_figure10(paper_rows, "O0+IM"))
         record_table("figure10", text)
         print()
         print("=== Figure 10 (reproduced): slowdown vs native, % ===")

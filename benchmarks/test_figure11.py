@@ -8,71 +8,66 @@ fraction is in (0, 1]).
 
 import pytest
 
+from repro.bench.report import figure11, format_figure11
 from repro.core import UsherConfig, prepare_module, run_usher
-from repro.harness import format_figure11
-from repro.harness.figure11 import USHER_CONFIGS
 from repro.opt import run_pipeline
 from repro.tinyc import compile_source
 from repro.workloads import workload
 
+USHER_CONFIGS = ("tl", "tl_at", "opt_i", "full")
+
 
 @pytest.fixture(scope="module")
-def printed(figure11):
+def printed(paper_rows):
     print()
     print("=== Figure 11 (reproduced): static propagations/checks vs MSan ===")
-    print(format_figure11(figure11))
-    return figure11
+    print("\n".join(format_figure11(paper_rows, "O0+IM")))
+    return figure11(paper_rows)
+
+
+def average(table, config, index):
+    return sum(r[config][index] for r in table.values()) / len(table)
 
 
 class TestFigure11Shape:
     def test_fractions_bounded(self, printed):
-        for row in printed.rows:
+        for name, ratios in printed.items():
             for config in USHER_CONFIGS:
-                props, checks = row.normalized[config]
-                assert 0.0 <= props <= 1.0, (row.benchmark, config)
-                assert 0.0 <= checks <= 1.0, (row.benchmark, config)
+                props, checks = ratios[config]
+                assert 0.0 <= props <= 1.0, (name, config)
+                assert 0.0 <= checks <= 1.0, (name, config)
 
     def test_propagations_monotone_across_configs(self, printed):
-        for row in printed.rows:
-            values = [row.normalized[c][0] for c in USHER_CONFIGS]
-            assert values == sorted(values, reverse=True), row.benchmark
+        for name, ratios in printed.items():
+            values = [ratios[c][0] for c in USHER_CONFIGS]
+            assert values == sorted(values, reverse=True), name
 
     def test_checks_monotone_on_average(self, printed):
-        averages = [printed.average_checks(c) for c in USHER_CONFIGS]
+        averages = [average(printed, c, 1) for c in USHER_CONFIGS]
         assert averages[0] >= averages[1] >= averages[3]
 
     def test_tl_at_eliminates_majority_of_propagations(self, printed):
         """Paper: Usher_TL+AT eliminates two-thirds of MSan's shadow
         propagations on average."""
-        assert printed.average_propagations("usher_tl_at") < 0.5
+        assert average(printed, "tl_at", 0) < 0.5
 
     def test_opt1_reduces_propagations_not_checks(self, printed):
         """Opt I targets shadow propagations; checks stay put."""
-        assert printed.average_propagations("usher_opt1") < (
-            printed.average_propagations("usher_tl_at")
-        )
-        for row in printed.rows:
-            assert (
-                row.normalized["usher_opt1"][1]
-                == pytest.approx(row.normalized["usher_tl_at"][1], abs=1e-9)
-            ), row.benchmark
+        assert average(printed, "opt_i", 0) < average(printed, "tl_at", 0)
+        for name, ratios in printed.items():
+            assert ratios["opt_i"][1] == pytest.approx(
+                ratios["tl_at"][1], abs=1e-9
+            ), name
 
     def test_opt2_reduces_checks_further(self, printed):
-        assert printed.average_checks("usher") <= printed.average_checks(
-            "usher_opt1"
-        )
+        assert average(printed, "full", 1) <= average(printed, "opt_i", 1)
 
 
 class TestFigure11Benchmarks:
-    def test_figure_regeneration(self, benchmark, figure11, record_table):
-        def regenerate():
-            return {
-                row.benchmark: row.normalized for row in figure11.rows
-            }
-
-        data = benchmark(regenerate)
+    def test_figure_regeneration(self, benchmark, paper_rows, record_table):
+        data = benchmark(figure11, paper_rows)
         assert len(data) == 15
-        text = format_figure11(figure11)
+        text = "\n".join(format_figure11(paper_rows, "O0+IM"))
         record_table("figure11", text)
         print()
         print("=== Figure 11 (reproduced): static propagations/checks vs MSan ===")

@@ -9,20 +9,27 @@ dynamic tool instead of replacing it).
 
 import pytest
 
+from repro.api import analyze
 from repro.core.static_warner import false_positive_report
-from repro.harness.runner import run_workload
 from repro.workloads import WORKLOADS
+
+
+def prepared_analysis(w, scale):
+    """The warner needs only the prepared module; MSan is the cheapest
+    configuration to carry along."""
+    return analyze(source=w.source(scale), name=w.name, configs=["msan"])
 
 
 @pytest.fixture(scope="module")
 def reports(scale):
     rows = []
     for w in WORKLOADS:
-        run = run_workload(w, scale=min(scale, 0.3))
-        native = run.native()
+        analysis = prepared_analysis(w, min(scale, 0.3))
         rows.append(
             false_positive_report(
-                w.name, run.analysis.prepared, native.true_bug_set()
+                w.name,
+                analysis.prepared,
+                analysis.run_native().true_bug_set(),
             )
         )
     return rows
@@ -72,9 +79,8 @@ class TestStaticWarner:
 class TestStaticWarnerBenchmarks:
     def test_warner_speed(self, benchmark):
         from repro.core.static_warner import static_warnings
-        from repro.harness.runner import run_workload
         from repro.workloads import workload
 
-        run = run_workload(workload("253.perlbmk"), scale=0.2)
-        warnings = benchmark(static_warnings, run.analysis.prepared)
+        analysis = prepared_analysis(workload("253.perlbmk"), 0.2)
+        warnings = benchmark(static_warnings, analysis.prepared)
         assert isinstance(warnings, list)

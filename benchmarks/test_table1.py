@@ -8,15 +8,19 @@ workloads, and the high-%F / high-%B outliers the paper calls out
 
 import pytest
 
-from repro.harness import build_table1, format_table1
-from repro.harness.table1 import table1_row
-from repro.harness.runner import run_workload
+from repro.api import analyze
+from repro.bench.report import format_table1, table1 as table1_of
+from repro.bench.scheduler import table1_stats
 from repro.workloads import workload
 
 
 @pytest.fixture(scope="module")
-def table1(scale):
-    return build_table1(scale=scale)
+def table1(paper_rows):
+    return table1_of(paper_rows)
+
+
+def average(table, column):
+    return sum(row[column] for row in table.values()) / len(table)
 
 
 class TestTable1:
@@ -24,57 +28,55 @@ class TestTable1:
         assert len(table1) == 15
 
     def test_percentages_in_range(self, table1):
-        for row in table1:
-            assert 0 <= row.pct_uninit_allocs <= 100
-            assert 0 <= row.pct_strong_stores <= 100
-            assert 0 <= row.pct_singleton_weak_stores <= 100
-            assert 0 <= row.pct_reaching_checks <= 100
+        for row in table1.values():
+            assert 0 <= row["pct_uninit_allocs"] <= 100
+            assert 0 <= row["pct_strong_stores"] <= 100
+            assert 0 <= row["pct_singleton_weak_stores"] <= 100
+            assert 0 <= row["pct_reaching_checks"] <= 100
 
     def test_analysis_is_lightweight(self, table1):
         """Paper: under 10 seconds per benchmark on average."""
-        avg = sum(r.analysis_seconds for r in table1) / len(table1)
-        assert avg < 10.0
+        assert average(table1, "analysis_seconds") < 10.0
 
     def test_gap_has_high_uninit_fraction(self, table1):
         """254.gap: arena allocator → high %F (paper: 49%)."""
-        gap = next(r for r in table1 if r.benchmark == "254.gap")
-        avg = sum(r.pct_uninit_allocs for r in table1) / len(table1)
-        assert gap.pct_uninit_allocs > avg
+        assert table1["254.gap"]["pct_uninit_allocs"] > average(
+            table1, "pct_uninit_allocs"
+        )
 
     def test_perlbmk_has_high_reach(self, table1):
         """253.perlbmk: most VFG nodes reach a check (paper: 84%)."""
-        perl = next(r for r in table1 if r.benchmark == "253.perlbmk")
-        avg = sum(r.pct_reaching_checks for r in table1) / len(table1)
-        assert perl.pct_reaching_checks > avg
+        assert table1["253.perlbmk"]["pct_reaching_checks"] > average(
+            table1, "pct_reaching_checks"
+        )
 
     def test_mcf_reaches_no_checks(self, table1):
-        mcf = next(r for r in table1 if r.benchmark == "181.mcf")
-        assert mcf.pct_reaching_checks == 0.0
+        assert table1["181.mcf"]["pct_reaching_checks"] == 0.0
 
     def test_semi_strong_updates_fire(self, table1):
-        assert any(r.semi_strong_per_heap_site > 0 for r in table1)
+        assert any(
+            r["semi_strong_per_heap_site"] > 0 for r in table1.values()
+        )
 
     def test_strong_updates_common(self, table1):
         """Paper: strong updates at 36% of stores on average."""
-        avg = sum(r.pct_strong_stores for r in table1) / len(table1)
-        assert avg > 10.0
+        assert average(table1, "pct_strong_stores") > 10.0
 
     def test_vfg_nonempty(self, table1):
-        assert all(r.vfg_nodes > 50 for r in table1)
+        assert all(r["vfg_nodes"] > 50 for r in table1.values())
 
 
 class TestTable1Benchmarks:
     def test_single_row_generation(self, benchmark, scale):
-        run = run_workload(workload("164.gzip"), "O0+IM", scale)
-        benchmark(table1_row, run)
+        w = workload("164.gzip")
+        source = w.source(scale)
+        analysis = analyze(source=source, name=w.name, configs=["usher_tl_at"])
+        benchmark(table1_stats, analysis, "usher_tl_at", source)
 
-    def test_table_regeneration(self, benchmark, table1, record_table):
-        def regenerate():
-            return [row.as_dict() for row in table1]
-
-        data = benchmark(regenerate)
+    def test_table_regeneration(self, benchmark, paper_rows, record_table):
+        data = benchmark(table1_of, paper_rows)
         assert len(data) == 15
-        text = format_table1(table1)
+        text = "\n".join(format_table1(paper_rows, "O0+IM"))
         record_table("table1", text)
         print()
         print("=== Table 1 (reproduced) ===")

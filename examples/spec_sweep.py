@@ -2,20 +2,20 @@
 """SPEC-workload sweep: a miniature Figure 10 + Figure 11.
 
 Runs the 15 SPEC2000-shaped workloads through MSan and all four Usher
-configurations and prints the reproduced figures.  ``--scale`` trades
-fidelity for speed (1.0 = the reference inputs of the benchmarks).
+configurations as one bench matrix and prints the figures rendered
+from its rows.  ``--scale`` trades fidelity for speed (1.0 = the
+reference inputs of the benchmarks).
 
 Run:  python examples/spec_sweep.py [--scale 0.25] [--level O0+IM]
 """
 
 import argparse
 
-from repro.harness import (
-    build_figure10,
-    build_figure11,
-    format_figure10,
-    format_figure11,
-)
+from repro.bench import MatrixSpec, format_bench_report, run_matrix
+from repro.bench.report import average_slowdowns, msan_reduction
+from repro.workloads import WORKLOADS
+
+CONFIGS = ("msan", "tl", "tl_at", "opt_i", "full")
 
 
 def main() -> None:
@@ -28,23 +28,24 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Running all 15 workloads at scale {args.scale} under {args.level}...")
-    figure10 = build_figure10(scale=args.scale, level=args.level)
+    spec = MatrixSpec(
+        workloads=[w.name for w in WORKLOADS],
+        configs=CONFIGS,
+        scale=args.scale,
+        level=args.level,
+    )
+    rows = run_matrix(spec.expand())
     print()
-    print("Execution-time slowdown vs native (Figure 10):")
-    print(format_figure10(figure10))
+    print(format_bench_report(rows))
 
-    averages = figure10.averages()
-    reduction = 100 * (1 - averages["usher"] / averages["msan"])
-    print()
+    reduction = msan_reduction(average_slowdowns(rows))
     print(f"Usher reduces MSan's average overhead by {reduction:.1f}%")
-
-    parser_row = figure10.row("197.parser")
-    tools = [c for c, n in parser_row.warnings.items() if n > 0]
+    tools = [
+        row["config"]
+        for row in rows
+        if row["workload"] == "197.parser" and row["warnings"] > 0
+    ]
     print(f"197.parser's genuine bug detected by: {', '.join(tools)}")
-
-    print()
-    print("Static instrumentation normalized to MSan (Figure 11):")
-    print(format_figure11(build_figure11(scale=args.scale, level=args.level)))
 
 
 if __name__ == "__main__":

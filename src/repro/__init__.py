@@ -18,7 +18,8 @@ The package is organised bottom-up:
   cost model.
 - :mod:`repro.workloads` — the 15 SPEC2000-shaped synthetic benchmarks and
   a random program generator.
-- :mod:`repro.harness` — regenerates every table and figure of the paper.
+- :mod:`repro.bench` — the benchmark matrix: one row per workload ×
+  configuration, rendered into every table and figure of the paper.
 """
 
 __version__ = "1.0.0"

@@ -7,8 +7,8 @@ records wall time per phase.  One instance is threaded through every
 solver pass of a single
 :func:`repro.analysis.andersen.analyze_pointers` call (the wrapper
 pre-pass and the heap-cloned re-run accumulate into the same object)
-and is surfaced on :class:`~repro.analysis.andersen.PointerResult`, the
-harness report and the ``repro`` CLI.
+and is surfaced on :class:`~repro.analysis.andersen.PointerResult`,
+every ``repro bench`` row and the ``repro`` CLI.
 
 The distinction between *propagated* and *added* facts is the whole
 story of difference propagation: a naive solver re-offers a node's full
@@ -152,7 +152,7 @@ class SolverStats:
         }
 
     def format_summary(self) -> str:
-        """Multi-line human-readable profile (CLI / harness report)."""
+        """Multi-line human-readable profile (CLI)."""
         lines = [
             f"solver profile ({self.solver}, "
             f"{self.solve_passes} solve pass(es)):",
@@ -289,7 +289,7 @@ class QueryStats:
         }
 
     def format_summary(self) -> str:
-        """Multi-line human-readable profile (CLI / harness report)."""
+        """Multi-line human-readable profile (CLI)."""
         depth = "∞" if self.context_depth < 0 else str(self.context_depth)
         lines = [
             f"demand-query profile ({self.resolver}, depth {depth}, "

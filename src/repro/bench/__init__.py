@@ -5,10 +5,11 @@ configs — expands into
 :class:`~repro.bench.matrix.Cell` objects, executes across a process
 pool with per-cell timeouts and crash isolation
 (:mod:`repro.bench.scheduler`), lands schema-stamped rows in a JSONL
-log (:mod:`repro.bench.collector`), aggregates the paper-style tables
-(:mod:`repro.bench.report`), and gates against a committed baseline
-(:mod:`repro.bench.baseline`).  Oracle-minimized reproducers graduate
-into the permanent corpus through :mod:`repro.bench.promote`.
+log (:mod:`repro.bench.collector`), renders the paper's Figures 10/11
+and Table 1 from those rows (:mod:`repro.bench.report`), and gates
+against a committed baseline (:mod:`repro.bench.baseline`).
+Oracle-minimized reproducers graduate into the permanent corpus
+through :mod:`repro.bench.promote`.
 """
 
 from repro.bench.baseline import diff_rows, load_rows

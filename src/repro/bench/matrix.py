@@ -1,9 +1,10 @@
 """The declarative bench matrix: axes in, cells out.
 
 A :class:`MatrixSpec` names the two axes — workloads and
-configurations — plus one scale factor, and :meth:`MatrixSpec.expand`
-takes the cross product into an ordered, deduplicated list of
-:class:`Cell` records.
+configurations — plus two per-run values, the scale factor and the
+optimization pipeline level, and :meth:`MatrixSpec.expand` takes the
+cross product into an ordered, deduplicated list of :class:`Cell`
+records.
 Everything here is pure data: no workload is rendered and no analysis
 runs until the scheduler executes a cell, so a 500-cell matrix can be
 validated, named and diffed for free.
@@ -17,8 +18,11 @@ it was written, not 40 cells into a run.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+from repro.opt.pipeline import OPT_LEVELS
 
 
 #: Differ-style config spec -> ``analyze()`` configuration name.
@@ -37,6 +41,9 @@ CONFIG_SPECS = tuple(SPEC_TO_CONFIG)
 #: The default configuration axis: the paper's four Usher columns.
 DEFAULT_CONFIGS = ("tl", "tl_at", "opt_i", "full")
 
+#: The default pipeline level: the paper's debugging setting (§4.6).
+DEFAULT_LEVEL = "O0+IM"
+
 
 class BenchSpecError(ValueError):
     """An invalid bench matrix: unknown axis value, empty axis, ..."""
@@ -47,15 +54,16 @@ class Cell:
     """One point of the matrix: a workload under one exact setup.
 
     The :attr:`name` — ``164.gzip/tl`` — is the stable
-    identity baselines and reports key on; ``scale`` deliberately stays
-    out of it (a run has one scale, recorded per row) so baselines
-    survive scale-for-speed changes being caught *explicitly* by the
-    diff, not silently by cells failing to match.
+    identity baselines and reports key on; ``scale`` and ``level``
+    deliberately stay out of it (a run has one of each, recorded per
+    row) so baselines survive scale-for-speed changes being caught
+    *explicitly* by the diff, not silently by cells failing to match.
     """
 
     workload: str
     config: str
     scale: float
+    level: str = DEFAULT_LEVEL
 
     @property
     def name(self) -> str:
@@ -73,6 +81,7 @@ class Cell:
             "workload": self.workload,
             "config": self.config,
             "scale": self.scale,
+            "level": self.level,
         }
 
 
@@ -89,7 +98,7 @@ def _check_axis(name: str, values: Sequence, allowed: Sequence) -> None:
 
 @dataclass(frozen=True)
 class MatrixSpec:
-    """The declarative matrix: two axes and a scale.
+    """The declarative matrix: two axes, a scale and a pipeline level.
 
     Workload names are carried opaquely — the scheduler resolves them
     against the workload registry and the corpus at execution time —
@@ -99,6 +108,7 @@ class MatrixSpec:
     workloads: Tuple[str, ...]
     configs: Tuple[str, ...] = DEFAULT_CONFIGS
     scale: float = 1.0
+    level: str = DEFAULT_LEVEL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workloads", tuple(self.workloads))
@@ -109,8 +119,15 @@ class MatrixSpec:
             if not name or not isinstance(name, str):
                 raise BenchSpecError(f"invalid workload name {name!r}")
         _check_axis("config", self.configs, CONFIG_SPECS)
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0):
-            raise BenchSpecError(f"scale must be positive, got {self.scale!r}")
+        if not (
+            isinstance(self.scale, (int, float))
+            and math.isfinite(self.scale)
+            and self.scale > 0
+        ):
+            raise BenchSpecError(
+                f"scale must be positive and finite, got {self.scale!r}"
+            )
+        _check_axis("level", (self.level,), OPT_LEVELS)
 
     def expand(self) -> List[Cell]:
         """The cross product as cells, workload-major, deduplicated.
@@ -123,7 +140,7 @@ class MatrixSpec:
         cells: List[Cell] = []
         seen = set()
         for combo in itertools.product(self.workloads, self.configs):
-            cell = Cell(*combo, scale=self.scale)
+            cell = Cell(*combo, scale=self.scale, level=self.level)
             if cell.name not in seen:
                 seen.add(cell.name)
                 cells.append(cell)
@@ -135,12 +152,14 @@ class MatrixSpec:
         workloads: Sequence[str],
         configs: str = ",".join(DEFAULT_CONFIGS),
         scale: float = 1.0,
+        level: str = DEFAULT_LEVEL,
     ) -> "MatrixSpec":
         """Build a spec from the CLI's comma-separated axis strings."""
         return cls(
             workloads=tuple(workloads),
             configs=_split(configs, "configs"),
             scale=scale,
+            level=level,
         )
 
 
@@ -156,6 +175,7 @@ __all__ = [
     "CONFIG_SPECS",
     "Cell",
     "DEFAULT_CONFIGS",
+    "DEFAULT_LEVEL",
     "MatrixSpec",
     "SPEC_TO_CONFIG",
 ]

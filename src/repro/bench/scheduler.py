@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.bench.matrix import BenchSpecError, Cell
 
@@ -71,15 +71,107 @@ def error_row(cell: Cell, message: str, elapsed: float = 0.0) -> Dict:
     return row
 
 
+def nodes_reaching_checks(result) -> Set:
+    """VFG nodes whose value reaches a needed runtime check (Table 1's
+    %B basis): the backward closure over dependence edges from the ⊥
+    critical-use nodes of one configuration's
+    :class:`~repro.core.usher.UsherResult` (the paper computes it on
+    TL+AT, before the VFG-based optimizations)."""
+    from repro.vfg.graph import Root
+
+    vfg, gamma = result.vfg, result.gamma
+    work = [
+        site.node
+        for site in vfg.check_sites
+        if site.node is not None and not gamma.is_defined(site.node)
+    ]
+    seen: Set = set()
+    while work:
+        node = work.pop()
+        if node in seen or isinstance(node, Root):
+            continue
+        seen.add(node)
+        for edge in vfg.deps_of(node):
+            work.append(edge.src)
+    return seen
+
+
+def _percent(part: float, whole: float) -> float:
+    return round(100.0 * part / max(whole, 1), 3)
+
+
+def table1_stats(analysis, config: str, text: str) -> Dict:
+    """Table 1's statistics of one configuration's analysis: program
+    size and analysis time, the variable population, %F, and — for
+    Usher configurations — the VFG's store classification, size, %B,
+    Opt I's simplified MFCs and Opt II's redirected nodes."""
+    from repro.analysis.memobjects import GLOBAL, HEAP, STACK
+
+    prepared = analysis.prepared
+    objects = prepared.pointers.all_objects()
+    kinds = {
+        kind: [o for o in objects if o.kind == kind]
+        for kind in (STACK, HEAP, GLOBAL)
+    }
+    allocated = kinds[STACK] + kinds[HEAP]
+    top_level = {
+        (f.name, v.name)
+        for f in analysis.module.functions.values()
+        for i in f.instructions()
+        for v in i.defs()
+    }
+    result = analysis.results.get(config)
+    seconds = prepared.prepare_seconds + (
+        result.analysis_seconds if result is not None else 0.0
+    )
+    stats = dict(
+        source_lines=len(text.strip().splitlines()),
+        analysis_seconds=round(seconds, 6),
+        var_tl=len(top_level),
+        var_at_stack=len(kinds[STACK]),
+        var_at_heap=len(kinds[HEAP]),
+        var_at_global=len(kinds[GLOBAL]),
+        pct_uninit_allocs=_percent(
+            sum(1 for o in allocated if not o.initialized), len(allocated)
+        ),
+    )
+    if result is None:
+        return stats
+    vfg = result.vfg
+    stores = vfg.stats.stores_total
+    stats.update(
+        semi_strong_per_heap_site=round(
+            vfg.stats.semi_strong_applied / max(vfg.stats.heap_alloc_sites, 1),
+            3,
+        ),
+        pct_strong_stores=_percent(vfg.stats.stores_strong, stores),
+        pct_singleton_weak_stores=_percent(
+            vfg.stats.stores_singleton_weak, stores
+        ),
+        vfg_nodes=vfg.num_nodes,
+        pct_reaching_checks=_percent(
+            len(nodes_reaching_checks(result)), vfg.num_nodes
+        ),
+        mfcs_simplified=result.guided_stats.mfcs_simplified,
+        redirected_nodes=(
+            result.opt2_stats.redirected_nodes if result.opt2_stats else 0
+        ),
+    )
+    return stats
+
+
 def run_cell(cell: Cell, corpus_dir=None) -> Dict:
     """Execute one cell end to end and return its flat counter row.
 
     Registry workloads render TinyC at the cell's scale and go through
-    ``analyze(source=...)``; corpus seeds parse as printed IR and run
-    the oracle's pipeline level (``FUZZ_PIPELINE``), so a corpus
-    cell's warned set is exactly the manifest's pinned set — the same
-    contract ``repro fuzz --module`` replays.  Raises on failure; the
-    scheduler turns that into an error row.
+    ``analyze(source=...)`` at the cell's pipeline level; corpus seeds
+    parse as printed IR and run the oracle's pipeline level
+    (``FUZZ_PIPELINE``), so a corpus cell's warned set is exactly the
+    manifest's pinned set — the same contract ``repro fuzz --module``
+    replays.  Besides the gated counters, an ok row carries the true
+    undefined uses the instrumented run observed and
+    :func:`table1_stats`.  Raises on failure; the scheduler turns that
+    into an error row.
     """
     from repro.api import analyze
 
@@ -90,16 +182,19 @@ def run_cell(cell: Cell, corpus_dir=None) -> Dict:
         from repro.ir.parser import parse_ir
         from repro.oracle.harness import FUZZ_PIPELINE
 
+        text = obj.text()
         analysis = analyze(
-            module=parse_ir(obj.text()),
+            module=parse_ir(text),
             name=cell.workload,
             level=FUZZ_PIPELINE,
             configs=[config],
         )
     else:
+        text = obj.source(cell.scale)
         analysis = analyze(
-            source=obj.source(cell.scale),
+            source=text,
             name=cell.workload,
+            level=cell.level,
             configs=[config],
         )
     report = analysis.run(config)
@@ -107,9 +202,11 @@ def run_cell(cell: Cell, corpus_dir=None) -> Dict:
     solver = analysis.prepared.solver_stats
     row = cell.identity()
     row.update(
+        level=analysis.level,  # a corpus seed ran at FUZZ_PIPELINE
         status="ok",
         warned_uids=sorted(report.warning_set()),
         warnings=len(report.warning_set()),
+        true_bug_uids=sorted(report.true_bug_set()),
         checks=plan.count_checks(),
         propagations=plan.count_propagations(),
         native_ops=report.native_ops,
@@ -118,6 +215,7 @@ def run_cell(cell: Cell, corpus_dir=None) -> Dict:
         facts_propagated=(
             solver.facts_propagated if solver is not None else 0
         ),
+        **table1_stats(analysis, config, text),
         elapsed=round(time.perf_counter() - started, 6),
     )
     return row
@@ -254,7 +352,9 @@ def run_matrix(
 __all__ = [
     "DEFAULT_TIMEOUT",
     "error_row",
+    "nodes_reaching_checks",
     "resolve_workload",
     "run_cell",
     "run_matrix",
+    "table1_stats",
 ]

@@ -9,10 +9,6 @@ Commands:
 - ``ir FILE``      — dump the IR at a chosen pipeline stage.
 - ``vfg FILE``     — export the value-flow graph as GraphViz DOT, with
   definedness coloring.
-- ``sweep``        — regenerate the paper's figures on the bundled
-  SPEC-shaped workloads.
-- ``report``       — regenerate the *entire* evaluation as one markdown
-  document (the source of EXPERIMENTS.md's numbers).
 - ``fuzz``         — differential soundness fuzzing: diff every
   configuration's warnings against the native ground truth over
   generated (or supplied) modules, minimizing any divergence to a
@@ -23,7 +19,8 @@ Commands:
 - ``bench``        — the scenario-factory matrix orchestrator: run a
   declarative workload × config matrix across a crash-isolated
   process pool, write schema-stamped
-  rows to a JSONL log, diff against a committed baseline, and promote
+  rows to a JSONL log, render the paper's Figures 10/11 and Table 1
+  from them, diff against a committed baseline, and promote
   oracle-minimized reproducers into the permanent corpus (see
   :mod:`repro.bench`).
 
@@ -34,6 +31,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -322,34 +320,6 @@ def cmd_vfg(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.harness import (
-        build_figure10,
-        build_figure11,
-        format_figure10,
-        format_figure11,
-    )
-
-    figure10 = build_figure10(scale=args.scale, level=args.level)
-    print(format_figure10(figure10))
-    print()
-    print(format_figure11(build_figure11(scale=args.scale, level=args.level)))
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    from repro.harness.report import build_report
-
-    text = build_report(scale=args.scale, sections=args.sections or None)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-    return 0
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.oracle import build_config_matrix, run_campaign
 
@@ -445,9 +415,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         verb = "validated" if args.dry_run else "promoted"
         print(f"bench: {verb} {len(promoted)} reproducer(s)")
         return 0
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise UsageError(
+            f"--timeout must be a positive number of seconds, "
+            f"got {args.timeout:g}"
+        )
+    if args.pool < 0:
+        raise UsageError(f"--pool must be 0 (auto) or more, got {args.pool}")
     workloads = _bench_workload_names(args.workloads, args.corpus_dir)
     spec = MatrixSpec.from_args(
-        workloads=workloads, configs=args.configs, scale=args.scale
+        workloads=workloads,
+        configs=args.configs,
+        scale=args.scale,
+        level=args.level,
     )
     cells = spec.expand()
     pool = args.pool
@@ -458,7 +438,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     say(
         f"bench: {len(cells)} cell(s) "
         f"({len(spec.workloads)} workloads x {len(spec.configs)} "
-        f"configs), pool={pool}, scale={spec.scale:g}"
+        f"configs), pool={pool}, scale={spec.scale:g}, "
+        f"level={spec.level}"
     )
     if args.dry_run:
         for cell in cells:
@@ -592,23 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     vfg.add_argument("-o", "--output", default=None)
     vfg.set_defaults(func=cmd_vfg)
 
-    sweep = sub.add_parser("sweep", help="regenerate Figures 10/11")
-    sweep.add_argument("--scale", type=float, default=0.25)
-    sweep.add_argument("--level", default="O0+IM", choices=list(OPT_LEVELS))
-    sweep.set_defaults(func=cmd_sweep)
-
-    report = sub.add_parser("report", help="full experiment report (markdown)")
-    report.add_argument("--scale", type=float, default=0.5)
-    report.add_argument("-o", "--output", default=None)
-    report.add_argument(
-        "--sections",
-        nargs="*",
-        choices=["table1", "figure10", "figure11", "opt_levels",
-                 "ablation", "warner", "extension", "solver", "trace"],
-        default=None,
-    )
-    report.set_defaults(func=cmd_report)
-
     fuzz = sub.add_parser(
         "fuzz", help="differential soundness fuzzing with minimization"
     )
@@ -670,6 +634,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scale", type=float, default=0.1,
                        help="workload scale factor (default 0.1; corpus "
                             "seeds are fixed-size and ignore it)")
+    bench.add_argument("--level", default="O0+IM", choices=list(OPT_LEVELS),
+                       help="optimization pipeline for the registry "
+                            "workloads (default O0+IM; corpus seeds "
+                            "always replay at the oracle's O0+IM)")
     bench.add_argument("--pool", type=int, default=0, metavar="N",
                        help="concurrent cell worker processes; 0 = auto "
                             "(default), 1 = in-process serial")
@@ -688,8 +656,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "checks/propagations, 2x ratio gates on "
                             "solver work; any regression exits 1")
     bench.add_argument("--report", default=None, metavar="PATH",
-                       help="also write the markdown report "
-                            "(Table-1/Figure-10-style aggregation)")
+                       help="also write the markdown report: the "
+                            "paper's Figure 10, Figure 11 (with msan "
+                            "rows) and Table 1 (with tl_at/opt_i/full "
+                            "rows) rendered from this run's rows")
     bench.add_argument("--promote", action="append", metavar="FILE",
                        help="promote an oracle-minimized .ir reproducer "
                             "into the permanent corpus (repeatable; "

@@ -11,7 +11,7 @@ with no run-time component.
 Because Γ is sound, the warner misses no bug (every true undefined use
 is warned); because Γ is approximate (weak updates, collapsed arrays,
 merged contexts), most warnings on realistic code never fire — the
-false-positive rate the experiment harness measures.
+false-positive rate ``benchmarks/test_static_warner.py`` measures.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Three zero-dependency pillars (see ``docs/observability.md``):
 - :mod:`repro.obs.trace` — hierarchical in-process span tracing of
   every pipeline phase (``TRACE.span("solve", config=...)``), exportable
   as Chrome trace-event JSON (``repro check --trace out.json``, load in
-  ``chrome://tracing`` / Perfetto) or a rendered tree (``repro report
-  --sections trace``).  Disabled tracing is a no-op behind a single
+  ``chrome://tracing`` / Perfetto) or a rendered tree
+  (``TRACE.render_tree()``).  Disabled tracing is a no-op behind a single
   attribute check.
 - :mod:`repro.obs.registry` — the :class:`StatsRegistry` every
   ``*Stats`` dataclass (solver, query, update, Opt II, VFG) registers

@@ -25,8 +25,8 @@ SMOKE = [
 #: diff tool and the baselines key on).
 REQUIRED_FIELDS = (
     "schema", "kind", "benchmark", "seed", "factor", "cell", "workload",
-    "config", "scale", "status",
-    "warned_uids", "warnings", "checks", "propagations", "native_ops",
+    "config", "scale", "level", "status",
+    "warned_uids", "true_bug_uids", "warnings", "checks", "propagations", "native_ops",
     "slowdown_percent", "pops", "facts_propagated", "elapsed", "tags",
 )
 
@@ -71,8 +71,9 @@ class TestMatrixRun:
         text = report.read_text()
         assert "# Bench matrix report" in text
         assert "164.gzip" in text and "seed63" in text
-        assert "Static instrumentation" in text
-        assert "Modelled slowdown" in text
+        assert "## Figure 10" in text and "## Table 1" in text
+        # No msan rows in this run: nothing for Figure 11 to normalize to.
+        assert "Figure 11" not in text
 
     def test_dry_run_lists_cells_without_running(self, tmp_path, capsys):
         out = tmp_path / "log.jsonl"

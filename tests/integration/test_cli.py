@@ -142,28 +142,34 @@ class TestRunAndIR:
 
 
 class TestReportAndSweep:
-    def test_report_sections(self, capsys):
-        assert main(["report", "--scale", "0.05",
-                     "--sections", "figure11"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 11" in out
-        assert "Table 1" not in out
+    """The paper's figures come from ``repro bench --report``; the
+    ``report`` and ``sweep`` commands are gone."""
+
+    def bench(self, tmp_path, configs):
+        report = tmp_path / "report.md"
+        assert main([
+            "bench", "--workloads", "181.mcf,197.parser",
+            "--configs", configs, "--scale", "0.05", "--pool", "1",
+            "--quiet", "--out", str(tmp_path / "rows.jsonl"),
+            "--report", str(report),
+        ]) == 0
+        return report.read_text()
+
+    def test_report_sections(self, tmp_path, capsys):
+        # The rows decide the sections: no msan rows, no Figure 11.
+        text = self.bench(tmp_path, "tl_at,full")
+        assert "## Figure 10" in text and "## Table 1" in text
+        assert "Figure 11" not in text
 
     def test_report_to_file(self, tmp_path, capsys):
-        target = tmp_path / "r.md"
-        assert main(["report", "--scale", "0.05",
-                     "--sections", "figure11", "-o", str(target)]) == 0
-        assert "Figure 11" in target.read_text()
+        text = self.bench(tmp_path, "msan,tl,tl_at,opt_i,full")
+        for heading in ("## Figure 10", "## Figure 11", "## Table 1"):
+            assert heading in text
+        assert "report: wrote" in capsys.readouterr().out
 
-    def test_report_trace_section(self, capsys):
-        assert main(["report", "--scale", "0.05",
-                     "--sections", "trace"]) == 0
-        out = capsys.readouterr().out
-        assert "Phase trace" in out
-        assert "pointer_analysis" in out
-
-    def test_sweep_prints_both_figures(self, capsys):
-        assert main(["sweep", "--scale", "0.05"]) == 0
-        out = capsys.readouterr().out
-        assert "average" in out
-        assert "usher_tl_at" in out
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_removed_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--scale", "0.05"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

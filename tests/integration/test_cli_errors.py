@@ -73,7 +73,7 @@ class TestJobsValidation:
         assert main(["check", clean_file]) == 0
 
     def test_report_validates_jobs_too(self, capsys):
-        argv = ["report", "--scale", "0.05", "--jobs", "nope"]
+        argv = ["bench", "--scale", "0.05", "--jobs", "nope"]
         assert exits_on_unknown_flag(argv) == 2
         rejected_flag_line(capsys, "--jobs")
 
@@ -98,7 +98,7 @@ class TestTierValidation:
         assert main(["check", clean_file]) == 0
 
     def test_report_validates_tier_too(self, capsys):
-        argv = ["report", "--scale", "0.05", "--tier", "nope"]
+        argv = ["bench", "--scale", "0.05", "--tier", "nope"]
         assert exits_on_unknown_flag(argv) == 2
         rejected_flag_line(capsys, "--tier")
 
@@ -237,3 +237,42 @@ class TestStepLimit:
         monkeypatch.setattr(repro.cli, "analyze", analyze_with_small_budget)
         assert main(["check", spin_file]) == 2
         assert one_clean_error_line(capsys).startswith("step limit exceeded: ")
+
+
+class TestBenchValidation:
+    """``repro bench`` rejects a run it cannot measure before any cell
+    runs or any row reaches the log."""
+
+    def run_bench(self, tmp_path, *flags):
+        out = tmp_path / "rows.jsonl"
+        code = main([
+            "bench", "--workloads", "164.gzip", "--configs", "tl",
+            "--scale", "0.05", "--quiet", "--out", str(out), *flags,
+        ])
+        return code, out
+
+    @pytest.mark.parametrize("bad", ["-5", "0", "inf", "nan"])
+    def test_timeout_must_be_positive_and_finite(self, tmp_path, bad, capsys):
+        code, out = self.run_bench(tmp_path, "--timeout", bad)
+        assert code == 2
+        assert "--timeout" in one_clean_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-1", "0"])
+    def test_scale_must_be_positive_and_finite(self, tmp_path, bad, capsys):
+        code, out = self.run_bench(tmp_path, "--scale", bad)
+        assert code == 2
+        assert "scale" in one_clean_error_line(capsys)
+        assert not out.exists()
+
+    def test_pool_must_not_be_negative(self, tmp_path, capsys):
+        code, out = self.run_bench(tmp_path, "--pool", "-3")
+        assert code == 2
+        assert "--pool" in one_clean_error_line(capsys)
+        assert not out.exists()
+
+    def test_unknown_level_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_bench(tmp_path, "--level", "O3")
+        assert exit_info.value.code == 2
+        assert "--level" in capsys.readouterr().err

@@ -9,7 +9,8 @@ can't silently lose the distribution the figures depend on.
 import pytest
 
 from repro.analysis.memobjects import GLOBAL, HEAP
-from repro.harness.runner import nodes_reaching_checks, run_workload
+from repro.api import analyze
+from repro.bench.scheduler import nodes_reaching_checks
 from repro.ir import instructions as ins
 from repro.workloads import WORKLOADS, workload
 
@@ -18,11 +19,14 @@ SCALE = 0.1
 
 @pytest.fixture(scope="module")
 def runs():
-    return {w.name: run_workload(w, scale=SCALE) for w in WORKLOADS}
+    return {
+        w.name: analyze(source=w.source(SCALE), name=w.name)
+        for w in WORKLOADS
+    }
 
 
 def objects_of(run):
-    return run.analysis.prepared.pointers.all_objects()
+    return run.prepared.pointers.all_objects()
 
 
 class TestProfiles:
@@ -47,7 +51,7 @@ class TestProfiles:
         run = runs["177.mesa"]
         allocs = sum(
             1
-            for uid, origin in run.analysis.prepared.pointers.alloc_objects.items()
+            for uid, origin in run.prepared.pointers.alloc_objects.items()
             for o in origin
             if o.kind == HEAP
         )
@@ -61,7 +65,7 @@ class TestProfiles:
     def test_crafty_is_bitwise_dense(self, runs):
         """186.crafty: bitwise ops dominate its arithmetic (limits
         Opt I, §4.1)."""
-        module = runs["186.crafty"].analysis.module
+        module = runs["186.crafty"].module
         binops = [
             i for i in module.instructions() if isinstance(i, ins.BinOp)
         ]
@@ -73,31 +77,31 @@ class TestProfiles:
         needed check (paper: 84%)."""
         shares = {}
         for name, run in runs.items():
-            vfg = run.analysis.results["usher_tl_at"].vfg
-            shares[name] = len(nodes_reaching_checks(run.analysis)) / max(
-                vfg.num_nodes, 1
+            result = run.results["usher_tl_at"]
+            shares[name] = len(nodes_reaching_checks(result)) / max(
+                result.vfg.num_nodes, 1
             )
         top_two = sorted(shares, key=shares.get, reverse=True)[:2]
         assert "253.perlbmk" in top_two, shares
 
     def test_gcc_has_widest_indirect_dispatch(self, runs):
         """176.gcc dispatches through a 5-entry function-pointer table."""
-        cg = runs["176.gcc"].analysis.prepared.callgraph
+        cg = runs["176.gcc"].prepared.callgraph
         widths = [len(t) for t in cg.callees.values()]
         assert max(widths) >= 5
 
     def test_parser_is_the_only_buggy_workload(self, runs):
         for name, run in runs.items():
-            bug = bool(run.native().true_undefined_uses)
+            bug = bool(run.run_native().true_undefined_uses)
             assert bug == (name == "197.parser"), name
 
     def test_twolf_uses_semi_strong_updates(self, runs):
-        stats = runs["300.twolf"].analysis.results["usher_tl_at"].vfg.stats
+        stats = runs["300.twolf"].results["usher_tl_at"].vfg.stats
         assert stats.semi_strong_applied >= 1
 
     def test_every_workload_exercises_memory(self, runs):
         for name, run in runs.items():
-            module = run.analysis.module
+            module = run.module
             assert any(
                 isinstance(i, ins.Load) for i in module.instructions()
             ), name

@@ -13,9 +13,9 @@ from repro.bench.matrix import (
 
 class TestCell:
     def test_name_encodes_every_axis_but_scale(self):
-        cell = Cell("164.gzip", "tl", 0.5)
+        cell = Cell("164.gzip", "tl", 0.5, "O2")
         assert cell.name == "164.gzip/tl"
-        assert "0.5" not in cell.name
+        assert "0.5" not in cell.name and "O2" not in cell.name
 
     def test_analysis_config_mapping(self):
         for spec, config in SPEC_TO_CONFIG.items():
@@ -29,6 +29,7 @@ class TestCell:
             "workload": "456.hmmer",
             "config": "opt_i",
             "scale": 0.25,
+            "level": "O0+IM",
         }
 
 
@@ -89,6 +90,19 @@ class TestValidation:
     def test_bad_scale_rejected(self):
         with pytest.raises(BenchSpecError, match="scale"):
             MatrixSpec(workloads=("w",), scale=0)
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(BenchSpecError, match="finite"):
+            MatrixSpec(workloads=("w",), scale=scale)
+
+    def test_unknown_level_rejected(self):
+        with pytest.raises(BenchSpecError, match="unknown level"):
+            MatrixSpec(workloads=("w",), level="O3")
+
+    def test_level_reaches_every_cell(self):
+        spec = MatrixSpec(workloads=("a", "b"), configs=("tl",), level="O1")
+        assert {cell.level for cell in spec.expand()} == {"O1"}
 
     def test_every_config_spec_is_accepted(self):
         spec = MatrixSpec(workloads=("w",), configs=CONFIG_SPECS)

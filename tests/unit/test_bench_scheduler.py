@@ -171,7 +171,7 @@ class TestRowsMatchAcrossExecutionModes:
         ).expand()
         serial = run_matrix(cells, pool=1)
         pooled = run_matrix(cells, pool=2, timeout=60)
-        drop = ("elapsed",)
+        drop = ("elapsed", "analysis_seconds")  # wall-clock fields
         for left, right in zip(serial, pooled):
             assert {k: v for k, v in left.items() if k not in drop} == {
                 k: v for k, v in right.items() if k not in drop

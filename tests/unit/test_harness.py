@@ -1,81 +1,93 @@
-"""Unit tests for the experiment harness itself."""
+"""Unit tests for the evaluation harness: the paper's figures rendered
+from bench rows (:mod:`repro.bench.report`)."""
 
 import pytest
 
-from repro.harness import (
-    build_figure10,
-    build_figure11,
-    build_table1,
-    clear_cache,
-    format_figure10,
-    format_figure11,
-    format_table1,
-    run_workload,
-)
-from repro.harness.figure11 import USHER_CONFIGS
-from repro.harness.runner import _CACHE, nodes_reaching_checks
+from repro.api import analyze
+from repro.bench import MatrixSpec, format_bench_report, run_matrix
+from repro.bench.report import FIGURE11_CONFIGS, figure10, figure11, table1
+from repro.bench.scheduler import nodes_reaching_checks
 from repro.workloads import workload
 
 SCALE = 0.05
+WORKLOADS = ("164.gzip", "181.mcf", "197.parser")
+CONFIGS = ("msan", "tl", "tl_at", "opt_i", "full")
+
+
+@pytest.fixture(scope="module")
+def rows():
+    spec = MatrixSpec(workloads=WORKLOADS, configs=CONFIGS, scale=SCALE)
+    return run_matrix(spec.expand())
+
+
+def section(text, heading):
+    """The lines of one ``## heading`` section of a report."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    end = next(
+        (i for i in range(start + 1, len(lines)) if lines[i].startswith("## ")),
+        len(lines),
+    )
+    return lines[start:end]
+
+
+def table_rows(lines):
+    return [line for line in lines if line.startswith("| ")][1:]
 
 
 class TestRunner:
-    def test_cache_hit(self):
-        clear_cache()
-        first = run_workload(workload("181.mcf"), scale=SCALE)
-        second = run_workload(workload("181.mcf"), scale=SCALE)
-        assert first is second
-
-    def test_cache_bypass(self):
-        first = run_workload(workload("181.mcf"), scale=SCALE)
-        fresh = run_workload(workload("181.mcf"), scale=SCALE, use_cache=False)
-        assert first is not fresh
-
-    def test_memory_tracked(self):
-        run = run_workload(workload("181.mcf"), scale=SCALE)
-        assert run.peak_memory_mb > 0
-
     def test_nodes_reaching_checks_subset_of_nodes(self):
-        run = run_workload(workload("197.parser"), scale=SCALE)
-        reaching = nodes_reaching_checks(run.analysis)
-        vfg = run.analysis.results["usher_tl_at"].vfg
+        w = workload("197.parser")
+        analysis = analyze(source=w.source(SCALE), name=w.name)
+        result = analysis.results["usher_tl_at"]
+        reaching = nodes_reaching_checks(result)
         assert reaching
-        assert len(reaching) <= vfg.num_nodes
+        assert len(reaching) <= result.vfg.num_nodes
 
 
 class TestFormatters:
-    @pytest.fixture(scope="class")
-    def fig10(self):
-        return build_figure10(scale=SCALE)
+    def test_figure10_formatting(self, rows):
+        lines = section(format_bench_report(rows), "## Figure 10")
+        body = table_rows(lines)
+        assert len(body) == len(WORKLOADS) + 1  # workloads + average
+        assert body[-1].startswith("| **average** |")
+        assert all(line.count("|") == len(CONFIGS) + 2 for line in body)
+        assert any("reduces MSan's average overhead" in l for l in lines)
+        assert any(l.startswith("- `197.parser`: 1 true bug(s)") for l in lines)
 
-    def test_figure10_formatting(self, fig10):
-        text = format_figure10(fig10)
-        assert "average" in text
-        assert text.count("%") > 70  # 15 rows + average, 5 configs
-        for name in ("164.gzip", "300.twolf"):
-            assert name in text
+    def test_figure10_row_lookup(self, rows):
+        table = figure10(rows)
+        assert set(table["181.mcf"]) == set(CONFIGS)
+        with pytest.raises(KeyError):
+            table["999.unknown"]
 
-    def test_figure10_row_lookup(self, fig10):
-        row = fig10.row("181.mcf")
-        assert row.benchmark == "181.mcf"
-        with pytest.raises(StopIteration):
-            fig10.row("999.unknown")
+    def test_figure11_formatting(self, rows):
+        text = format_bench_report(rows)
+        body = table_rows(section(text, "## Figure 11"))
+        assert len(body) == len(WORKLOADS) + 1
+        for config in FIGURE11_CONFIGS[:4]:
+            assert f"{config} prop / chk" in text
+        # Without msan rows there is nothing to normalize to.
+        usher_only = [row for row in rows if row["config"] != "msan"]
+        assert figure11(usher_only) == {}
+        assert "## Figure 11" not in format_bench_report(usher_only)
 
-    def test_figure11_formatting(self):
-        figure = build_figure11(scale=SCALE)
-        text = format_figure11(figure)
-        assert "average" in text
-        for config in USHER_CONFIGS:
-            assert config in text
+    def test_table1_formatting(self, rows):
+        lines = section(format_bench_report(rows), "## Table 1")
+        header = next(line for line in lines if line.startswith("| "))
+        assert "%SU" in header and "Mem(MB)" not in header
+        assert len(table_rows(lines)) == len(WORKLOADS)
 
-    def test_table1_formatting(self):
-        rows = build_table1(scale=SCALE)
-        text = format_table1(rows)
-        assert "Benchmark" in text and "%SU" in text
-        assert len(text.splitlines()) == 17  # header + rule + 15 rows
+    def test_table1_row_dict(self, rows):
+        gzip = table1(rows)["164.gzip"]
+        assert gzip["vfg_nodes"] > 0
+        assert gzip["source_lines"] > 0
+        # Table 1 reads the tl_at/opt_i/full rows; msan alone has none.
+        msan_only = [row for row in rows if row["config"] == "msan"]
+        assert table1(msan_only) == {}
 
-    def test_table1_row_dict(self):
-        rows = build_table1(scale=SCALE)
-        as_dict = rows[0].as_dict()
-        assert as_dict["benchmark"] == "164.gzip"
-        assert "vfg_nodes" in as_dict
+    def test_levels_render_separately(self, rows):
+        o1 = [dict(row, level="O1") for row in rows]
+        text = format_bench_report(rows + o1)
+        assert "## Figure 10 — slowdown vs native, % (O0+IM)" in text
+        assert "## Figure 10 — slowdown vs native, % (O1)" in text

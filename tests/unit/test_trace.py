@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.obs.trace import (
     NOOP_SPAN,
+    SpanRecord,
     TRACE,
     Tracer,
     traced,
@@ -176,58 +177,6 @@ class TestNestingProperties:
         assert validate_chrome_trace(payload) == len(events)
 
 
-class TestExportAdopt:
-    def test_export_remaps_parents_and_skips_open(self):
-        worker = make_tracer()
-        open_span = worker.span("batch").__enter__()
-        with worker.span("case"):
-            with worker.span("step"):
-                pass
-        exported = worker.export_spans(clear=False)
-        # The still-open "batch" span is skipped; "case" becomes a
-        # root of the batch and "step" links to it by position.
-        names = [row[0] for row in exported]
-        assert names == ["case", "step"]
-        assert exported[0][2] == -1
-        assert exported[1][2] == 0
-        open_span.__exit__(None, None, None)
-
-    def test_export_clears_by_default(self):
-        worker = make_tracer()
-        with worker.span("one"):
-            pass
-        assert worker.export_spans()
-        assert worker.events == []
-
-    def test_adopt_grafts_under_innermost_open_span(self):
-        worker = make_tracer()
-        with worker.span("work", shard=1):
-            with worker.span("sub"):
-                pass
-        shipped = worker.export_spans()
-
-        parent = make_tracer()
-        with parent.span("merge"):
-            adopted = parent.adopt(shipped)
-        assert adopted == 2
-        names = {e.name: e for e in parent.events}
-        merge_index = [e.name for e in parent.events].index("merge")
-        assert names["work"].parent == merge_index
-        assert parent.events[names["sub"].parent].name == "work"
-
-    def test_adopt_preserves_worker_pid(self):
-        fake = [("remote", {}, -1, 1.0, 2.0, 99999, 1)]
-        parent = make_tracer()
-        parent.adopt(fake)
-        assert parent.events[0].pid == 99999
-        assert parent.events[0].pid != os.getpid()
-
-    def test_adopt_empty_batch(self):
-        parent = make_tracer()
-        assert parent.adopt([]) == 0
-        assert parent.events == []
-
-
 class TestChromeTrace:
     def _tracer_with_spans(self):
         tracer = make_tracer()
@@ -253,7 +202,7 @@ class TestChromeTrace:
 
     def test_worker_pid_gets_its_own_track(self):
         tracer = self._tracer_with_spans()
-        tracer.adopt([("remote", {}, -1, 1.0, 2.0, 4242, 7)])
+        tracer.events.append(SpanRecord("remote", {}, -1, 1.0, 2.0, 4242, 7))
         payload = tracer.chrome_trace()
         labels = {
             e["pid"]: e["args"]["name"]
