@@ -16,7 +16,7 @@ TinyC ``source`` or a compiled ``module``)::
 
 The definedness knobs travel as one :class:`repro.options.AnalysisOptions`
 record (``analyze(options=AnalysisOptions(demand=True))``).  For a
-long-lived, incrementally re-analyzed program, see
+long-lived program re-analyzed on each edit, see
 :class:`repro.service.session.AnalysisSession` and ``repro serve``.
 """
 

@@ -15,7 +15,7 @@ Commands:
   small reproducer (see :mod:`repro.oracle`).
 - ``serve``        — resident analysis service: a localhost HTTP/JSON
   endpoint over long-lived :class:`repro.service.AnalysisSession`
-  objects with incremental re-analysis (see :mod:`repro.service`).
+  objects that re-analyze on each edit (see :mod:`repro.service`).
 - ``bench``        — the scenario-factory matrix orchestrator: run a
   declarative workload × config matrix across a crash-isolated
   process pool, write schema-stamped
@@ -608,10 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--via-session", action="store_true",
                       help="route every examined case through the "
                            "resident AnalysisSession API (open + "
-                           "incremental update) instead of from-scratch "
-                           "analysis; a verdict difference between the "
-                           "two paths is exactly what the campaign "
-                           "exists to catch")
+                           "update) instead of one-shot analysis; a "
+                           "verdict difference between the two paths is "
+                           "exactly what the campaign exists to catch")
     fuzz.add_argument("--quiet", action="store_true",
                       help="suppress per-case progress lines")
     fuzz.set_defaults(func=cmd_fuzz)

@@ -1,15 +1,16 @@
-"""Resident analysis service: long-lived sessions, incremental
-re-analysis and the ``repro serve`` front end.
+"""Resident analysis service: long-lived sessions and the
+``repro serve`` front end.
 
-The one-shot pipeline (:func:`repro.api.analyze`) re-runs every phase
-from scratch on each call.  This package keeps the analysis *resident*:
+The one-shot pipeline (:func:`repro.api.analyze`) returns its results
+and keeps nothing.  This package keeps the analysis *resident*:
 
-* :class:`repro.service.session.AnalysisSession` — parsed module,
-  points-to solver state, VFG and demand memos held across edits;
-  :meth:`~repro.service.session.AnalysisSession.update` re-analyzes one
-  function incrementally (cached constraint tapes, warm-started solver,
-  closure-tracked memo carryover) with results bit-identical to a cold
-  :func:`~repro.api.analyze`.
+* :class:`repro.service.session.AnalysisSession` — function texts,
+  module, points-to sets, VFG, Γ and plan held between requests;
+  :meth:`~repro.service.session.AnalysisSession.update` replaces one
+  function body, re-analyzes the module cold and commits the new
+  generation only if every step succeeds, so results are bit-identical
+  to a cold :func:`~repro.api.analyze` and a rejected edit changes
+  nothing.
 * :func:`repro.service.server.serve` — the localhost HTTP/JSON server
   behind ``repro serve`` (``open`` / ``update`` / ``query_sites`` /
   ``explain`` / ``stats``), with sessions cached per source digest.

@@ -11,15 +11,15 @@ Routes (all POST bodies and responses are JSON):
   :meth:`repro.options.AnalysisOptions.as_dict` mapping).  Sessions are
   cached per content digest: re-opening the same text under the same
   options returns the resident session.
-* ``POST /update`` — ``{"digest", "function", "body"}`` → incremental
-  re-analysis stats.
+* ``POST /update`` — ``{"digest", "function", "body"}`` → re-analysis
+  stats.  A rejected update (400) leaves the session unchanged.
 * ``POST /query_sites`` — ``{"digest", "uids"?}`` → verdicts; any
   other field is a 400 that names it.
 * ``POST /explain`` — ``{"digest", "uid"}`` → rendered flow steps.
 * ``POST /stats`` / ``GET /ping`` — introspection.
-* ``GET /metrics`` — Prometheus text exposition (request counts and
-  latency histograms per route, session count, last-update dirty
-  fraction and memo-carryover counters per session).
+* ``GET /metrics`` — Prometheus text exposition (request counts by
+  route and status — rejected updates count under ``status="400"`` —
+  latency histograms per route, and the session count).
 
 Client errors answer ``400`` (malformed input) or ``404`` (unknown
 digest — :class:`UnknownDigestError` — or unknown route) with
@@ -28,12 +28,19 @@ digest-taking route (``/update``, ``/query_sites``, ``/explain``,
 ``/stats``) answers the same one-line 404 on an unknown digest, and
 nothing else maps to 404; a known digest with bad arguments (an
 unknown function name, a missing field) is always a 400.
+
+One request body cannot wedge the server: a negative or non-integer
+``Content-Length`` answers 400 and a body over :data:`MAX_BODY_BYTES`
+answers 413, both before any of the body is read, and every connection
+reads under a :data:`SOCKET_TIMEOUT_S` socket timeout (a stalled body
+answers 408).  All three close the connection.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, Optional
@@ -52,6 +59,12 @@ __all__ = [
     "UnknownDigestError",
     "serve",
 ]
+
+
+#: Largest request body the server reads; larger ones answer 413.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Seconds a connection may stall a read before it is dropped.
+SOCKET_TIMEOUT_S = 10.0
 
 
 class UnknownDigestError(LookupError):
@@ -97,21 +110,6 @@ class ReproServer(HTTPServer):
         self.metrics.gauge(
             "repro_sessions", "Resident analysis sessions."
         ).set_function(lambda: len(self.sessions))
-        self._dirty_fraction = self.metrics.gauge(
-            "repro_session_dirty_fraction",
-            "Dirty VFG-node fraction of each session's last update.",
-            labels=("digest",),
-        )
-        self._memos_carried = self.metrics.counter(
-            "repro_session_memos_carried_total",
-            "Demand-engine memo entries carried across updates.",
-            labels=("digest",),
-        )
-        self._memos_dropped = self.metrics.counter(
-            "repro_session_memos_dropped_total",
-            "Demand-engine memo entries dropped across updates.",
-            labels=("digest",),
-        )
 
     def observe_request(
         self, route: str, status: int, started: float
@@ -121,23 +119,6 @@ class ReproServer(HTTPServer):
             time.perf_counter() - started, route=route
         )
 
-    def note_update(self, digest: str, stats) -> None:
-        """Fold one update's figures into the per-session gauges."""
-        self._dirty_fraction.set(stats.dirty_fraction, digest=digest)
-        self._memos_carried.inc(stats.memos_carried, digest=digest)
-        self._memos_dropped.inc(stats.memos_dropped, digest=digest)
-
-    def render_metrics(self) -> str:
-        """The ``/metrics`` payload: refresh scrape-time gauges from
-        the live sessions, then render the exposition text."""
-        for digest, session in self.sessions.items():
-            update = session.last_update
-            if update is not None:
-                self._dirty_fraction.set(
-                    update.dirty_fraction, digest=digest
-                )
-        return self.metrics.render()
-
     def close_sessions(self) -> None:
         self.sessions.clear()
 
@@ -146,9 +127,18 @@ class ReproServer(HTTPServer):
         super().server_close()
 
 
+class _BodyError(ValueError):
+    """A request body the server refuses before reading it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    timeout = SOCKET_TIMEOUT_S
 
     def log_message(self, *args) -> None:  # keep stdout for the CLI
         pass
@@ -159,6 +149,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -169,6 +161,25 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _read_body(self) -> bytes:
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BodyError(400, f"bad Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyError(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
+        if not length:
+            return b"{}"
+        try:
+            return self.rfile.read(length)
+        except socket.timeout:
+            raise _BodyError(408, "timed out reading the request body")
 
     def _session(self, data: Dict) -> AnalysisSession:
         digest = data.get("digest")
@@ -186,7 +197,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             status = 200
         elif self.path == "/metrics":
-            self._reply_text(200, self.server.render_metrics())
+            self._reply_text(200, self.server.metrics.render())
             status = 200
         else:
             self._reply(404, {"error": f"unknown route {self.path}"})
@@ -197,9 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         status = 200
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            data = json.loads(raw.decode("utf-8"))
+            data = json.loads(self._read_body().decode("utf-8"))
             if not isinstance(data, dict):
                 raise ValueError("request body must be a JSON object")
             route = getattr(self, "_route" + self.path.replace("/", "_"), None)
@@ -213,6 +222,11 @@ class _Handler(BaseHTTPRequestHandler):
         except UnknownDigestError as exc:
             status = 404
             self._reply(404, {"error": _one_line(exc)})
+        except _BodyError as exc:
+            # The unread body would be parsed as the next request.
+            status = exc.status
+            self.close_connection = True
+            self._reply(status, {"error": _one_line(exc)})
         except Exception as exc:
             status = 400
             self._reply(400, {"error": _one_line(exc)})
@@ -263,7 +277,6 @@ class _Handler(BaseHTTPRequestHandler):
             # An unknown *function* on a known digest is malformed
             # input (400), not a missing resource (404).
             raise ValueError(_one_line(exc)) from None
-        self.server.note_update(data.get("digest"), stats)
         return stats.as_dict()
 
     def _route_query_sites(self, data: Dict) -> Dict:

@@ -2,7 +2,7 @@
 
 Boots ``python -m repro serve --port 0`` as a subprocess, parses the
 printed port, and drives it with :class:`ServiceClient`: verdict
-parity against an in-process session, digest caching, incremental
+parity against an in-process session, digest caching, function
 updates, explain traces, and the error contract (404 for unknown
 digests, 400 with a one-line message for malformed requests — never a
 hung connection or an HTML traceback).

@@ -4,16 +4,20 @@ Every error path of the live daemon, pinned down: each digest-taking
 route (``/update``, ``/query_sites``, ``/explain``, ``/stats``)
 answers the same one-line 404 on an unknown digest; a *known* digest
 with bad arguments (unknown function, missing field, a field of a
-removed knob) is a 400; unknown routes are 404 on both GET and POST.  ``GET /metrics`` must
-return parseable Prometheus text whose request counters reflect the
-traffic this suite just generated.
+removed knob) is a 400; unknown routes are 404 on both GET and POST.
+A rejected update leaves every session as it was, and a malformed
+request body cannot wedge the single-threaded server.  ``GET /metrics``
+must return parseable Prometheus text whose request counters reflect
+the traffic this suite just generated.
 """
 
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -205,16 +209,86 @@ class TestMetricsEndpoint:
         ] >= 1
 
     def test_update_publishes_session_gauges(self, server, opened):
+        """Accepted and rejected updates are both counted, by status."""
         digest = opened["digest"]
         server.update(digest, "main", _const_edit())
+        _expect(400, server.update, digest, "main", _bad_edit())
         parsed = parse_prometheus_text(server.metrics())
-        assert (("digest", digest),) in parsed["repro_session_dirty_fraction"]
-        carried = parsed["repro_session_memos_carried_total"]
-        assert (("digest", digest),) in carried
+        requests = parsed["repro_requests_total"]
+        for status in ("200", "400"):
+            assert requests[(("route", "/update"), ("status", status))] >= 1
+        assert not any(
+            name.startswith("repro_session_") for name in parsed
+        ), sorted(parsed)
 
 
-def _const_edit():
-    """A semantics-preserving edit of main (dead constant copy).
+class TestRejectedUpdateIsAtomic:
+    def test_rejected_update_changes_no_session(self, server):
+        mine = server.open(source=SOURCE, name="atomic-a")["digest"]
+        other = server.open(source=SOURCE, name="atomic-b")["digest"]
+        server.update(other, "main", _const_edit())
+        before = {d: server.query_sites(d) for d in (mine, other)}
+        generation = server.stats(mine)["generation"]
+        for body in (_bad_edit(), _bad_edit("    %__bad := ??")):
+            message = _expect(400, server.update, mine, "main", body)
+            assert "__bad" in message or "__no_such_function" in message
+            assert server.stats(mine)["generation"] == generation
+            assert {d: server.query_sites(d) for d in (mine, other)} == before
+        # The next update, to another function, is not wedged by the
+        # rejected body.
+        stats = server.update(
+            mine, "classify", _const_edit(function="classify")
+        )
+        assert stats["generation"] == generation + 1
+        assert server.query_sites(mine) == before[mine]
+        assert server.query_sites(other) == before[other]
+
+
+def _raw_request(client, head: bytes) -> socket.socket:
+    """Open a raw connection to the server and send ``head`` on it,
+    leaving the connection open."""
+    url = urlsplit(client.base_url)
+    conn = socket.create_connection((url.hostname, url.port), timeout=10)
+    conn.sendall(head)
+    return conn
+
+
+def _status_of(conn: socket.socket) -> int:
+    reply = b""
+    while b"\r\n" not in reply:
+        chunk = conn.recv(4096)
+        if not chunk:
+            break
+        reply += chunk
+    return int(reply.split(b" ", 2)[1])
+
+
+class TestRequestBodyLimits:
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("ten", 400), (str(64 * 1024 * 1024), 413)],
+    )
+    def test_bad_length_answers_before_reading(self, server, length, status):
+        """A body the server will not read is refused at once, on a
+        connection the client keeps open, and a concurrent request is
+        still served."""
+        conn = _raw_request(
+            server,
+            b"POST /open HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n",
+        )
+        try:
+            quick = ServiceClient(server.base_url, timeout=5)
+            assert "repro_requests_total" in quick.metrics()
+            assert _status_of(conn) == status
+        finally:
+            conn.close()
+
+
+def _const_edit(line="    %__m0 := 0", function="main"):
+    """``function``'s text with ``line`` inserted after its entry
+    label; by default a semantics-preserving edit (dead constant copy).
 
     The service has no function_text route, so reconstruct main's
     printed IR through an in-process session over the same source.
@@ -225,9 +299,15 @@ def _const_edit():
     session = AnalysisSession.from_source(
         SOURCE, name="classify", options=AnalysisOptions()
     )
-    lines = session.function_text("main").splitlines()
-    for index, line in enumerate(lines):
-        if line.rstrip().endswith(":"):
-            lines.insert(index + 1, "    %__m0 := 0")
+    lines = session.function_text(function).splitlines()
+    for index, current in enumerate(lines):
+        if current.rstrip().endswith(":"):
+            lines.insert(index + 1, line)
             break
     return "\n".join(lines)
+
+
+def _bad_edit(line="    %__bad := __no_such_function(1)"):
+    """An edit of main that parses but fails verification (by
+    default), or with ``line`` one that does not parse."""
+    return _const_edit(line)

@@ -1,21 +1,17 @@
 """Differential suite: scheduling and batching are invisible.
 
 The pointer analysis has one solver path — the wave-scheduled
-:class:`~repro.analysis.andersen.DeltaSolver` — but three ways to feed
-and order its work, and the demand engine answers both one site at a
-time and in batches.  The contract is that none of this changes
-results, only wall-clock and work profiles.  Checked here over the
-bundled workloads, hypothesis-generated programs and the pointer-heavy
-corpus:
+:class:`~repro.analysis.andersen.DeltaSolver` — and the demand engine
+answers both one site at a time and in batches.  The contract is that
+the order work arrives in changes no result, only wall-clock and work
+profiles.  Checked here over the bundled workloads,
+hypothesis-generated programs and the pointer-heavy corpus:
 
 * the wave schedule reaches the same fixpoint as the
   :class:`~repro.analysis.andersen.ReferenceSolver`'s naive worklist,
-  and the same fixpoint again when the constraint stream arrives in
-  reverse function order;
-* replaying the per-function constraint tapes that
-  :class:`repro.service.session.AnalysisSession` caches rebuilds the
-  exact solver state of a cold generation pass, so every result —
-  including ``alloc_objects`` list order — is bit-identical;
+  and the same fixpoint again when the module's functions are inserted
+  in reverse order (so constraints are generated in reverse function
+  order);
 * batched ``query_sites`` returns the one-site-at-a-time verdicts and
   leaves a memo whose entries all agree with a fresh engine;
 * the end-to-end API produces the same Γ verdicts and instrumentation
@@ -23,17 +19,16 @@ corpus:
   ``REPRO_STORAGE`` in the environment change nothing.
 """
 
+import copy
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import analyze_pointers
-from repro.analysis.andersen import DeltaSolver, _recursive_functions
-from repro.analysis.solverstats import SolverStats
 from repro.api import analyze
 from repro.core import UsherConfig, prepare_module, run_usher
 from repro.opt import run_pipeline
 from repro.options import AnalysisOptions
-from repro.service.session import _collect_tape, _TapeSolver
 from repro.tinyc import compile_source
 from repro.vfg.demand import DemandEngine
 from repro.workloads import WORKLOADS, GeneratorParams, generate_program
@@ -81,36 +76,13 @@ def _fixpoint(result):
     }
 
 
-def _tape_tapes(module, wrappers, recursive):
-    return [
-        _collect_tape(module, wrappers, recursive, fname)
-        for fname in module.functions
-    ]
-
-
-def _tape_analysis(module, reverse=False):
-    """``analyze_pointers`` rebuilt the session's way: one constraint
-    tape per function, replayed into a fresh solver (optionally in
-    reverse function order), base pass then heap-cloned pass."""
-    recursive = _recursive_functions(module)
-
-    def solve(wrappers):
-        tapes = _tape_tapes(module, wrappers, recursive)
-        if reverse:
-            tapes.reverse()
-        solver = _TapeSolver(
-            module, wrappers, tapes, SolverStats(), set(recursive)
-        )
-        solver.solve()
-        return solver
-
-    base = solve(frozenset())
-    wrappers = base.detect_wrappers()
-    if not wrappers:
-        return base.result()
-    result = solve(frozenset(wrappers)).result()
-    result.wrappers = set(wrappers)
-    return result
+def _reversed_analysis(module):
+    """``analyze_pointers`` over a copy of ``module`` whose functions
+    are inserted in reverse order, so every function's constraints are
+    generated (and scheduled) in the opposite order."""
+    flipped = copy.deepcopy(module)
+    flipped.functions = dict(reversed(list(flipped.functions.items())))
+    return analyze_pointers(flipped)
 
 
 def _plan_snapshot(plan):
@@ -123,7 +95,7 @@ def _plan_snapshot(plan):
     )
 
 
-# -- solver: schedule and tape-replay differentials -----------------------
+# -- solver: schedule differentials --------------------------------------
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
@@ -132,8 +104,8 @@ def test_schedules_agree_on_workload_corpus(workload):
     scheduled in: function order and reverse function order agree."""
     module = _workload_module(workload)
     wave = analyze_pointers(module)
-    reversed_order = _tape_analysis(module, reverse=True)
-    assert _fixpoint(wave) == _fixpoint(reversed_order)
+    assert list(module.functions)[0] != list(module.functions)[-1]
+    assert _fixpoint(wave) == _fixpoint(_reversed_analysis(module))
     assert wave.solver_stats.solver == "delta"
     assert wave.solver_stats.waves > 0
 
@@ -146,10 +118,7 @@ def test_schedules_and_jobs_agree_on_random_programs(seed):
     reference = analyze_pointers(module, use_reference=True)
     baseline = _normalize(wave)
     assert _normalize(reference) == baseline, seed
-    assert _normalize(_tape_analysis(module)) == baseline, seed
-    assert _fixpoint(_tape_analysis(module, reverse=True)) == _fixpoint(
-        wave
-    ), seed
+    assert _fixpoint(_reversed_analysis(module)) == _fixpoint(wave), seed
 
 
 @pytest.mark.parametrize("seed", [3, 5, 11])
@@ -168,41 +137,6 @@ def test_wave_agrees_and_reduces_pops_on_pointer_heavy_corpus(seed):
     assert wave.solver_stats.pops < reference.solver_stats.pops, (
         wave.solver_stats.pops,
         reference.solver_stats.pops,
-    )
-
-
-def test_sharded_generation_replays_the_serial_constraint_stream():
-    """Stronger than result equality: after replaying the per-function
-    tapes the solver must hold the same interned state as the serial
-    generator (same node/bit universe in the same order), because the
-    replay reproduces the exact serial stream."""
-    module = _module_for(7)
-    recursive = _recursive_functions(module)
-    serial = DeltaSolver(module, wrappers=frozenset())
-    replayed = _TapeSolver(
-        module,
-        frozenset(),
-        _tape_tapes(module, frozenset(), recursive),
-        SolverStats(),
-        set(recursive),
-    )
-    assert len(module.functions) > 1
-    assert serial._nodes == replayed._nodes
-    assert serial._locs == replayed._locs
-    assert serial._bits == replayed._bits
-    assert serial._copy_out == replayed._copy_out
-    assert serial.alloc_objects == replayed.alloc_objects
-    assert serial.call_targets == replayed.call_targets
-    assert serial.clone_base == replayed.clone_base
-
-
-@pytest.mark.parametrize("workload", WORKLOADS[:6], ids=lambda w: w.name)
-def test_jobs_agree_on_workload_corpus(workload):
-    """Per-function tapes replayed in module order give the cold
-    result bit for bit, heap-cloned pass included."""
-    module = _workload_module(workload)
-    assert _normalize(analyze_pointers(module)) == _normalize(
-        _tape_analysis(module)
     )
 
 
